@@ -7,6 +7,20 @@
 //! (they are independent by definition); routing is then sequenced in
 //! machine order, so runs are deterministic.
 //!
+//! # One round engine
+//!
+//! [`Simulation::step`] and [`Simulation::step_shard`] run one round body
+//! over a machine range `[lo, hi)`: the delivery-time memory check, the
+//! parallel compute region, the first-violation fold, recipient and
+//! sender-side `s` validation, the round's statistics and its telemetry
+//! exist once. The two differ only in where a validated send goes: `step`
+//! runs `[0, m)` and routes each send locally as an arena coordinate;
+//! `step_shard` extracts each send as an owned [`Message`] for a shard
+//! supervisor to route. The fault plan is a layer over the same body —
+//! crash-stops and due stragglers at round start, oracle outages during
+//! compute, and a per-send filter in front of delivery — and a round
+//! without an active plan is compiled without it.
+//!
 //! # The arena message plane
 //!
 //! Payloads never live in per-message heap allocations (see
@@ -19,16 +33,16 @@
 //! the written outbox plane stays alive (read-only) through the next round,
 //! ping-ponging with the plane being written. An auxiliary per-round arena
 //! holds the payloads with no live sender outbox: input seeds, straggler
-//! deliveries, restored snapshots. Steady state allocates nothing: both
-//! outbox planes, the auxiliary arena, and the entry lists all recycle
-//! their buffers.
+//! deliveries, restored snapshots and shard batches. Steady state
+//! allocates nothing: both outbox planes, the auxiliary arena, and the
+//! entry lists all recycle their buffers.
 
 use crate::error::ModelViolation;
 use crate::faults::{FaultKind, FaultPlan};
-use crate::machine::{MachineLogic, Outbox, RoundCtx};
+use crate::machine::{MachineLogic, Outbox, RoundCtx, SendRecord};
 use crate::message::{Inbox, InboxEntry, MachineId, Message};
 use crate::snapshot::{FaultSnapshot, SimulationSnapshot};
-use crate::soa::{compute_min_len, MachinePlanes};
+use crate::soa::{compute_min_len, MemoryImages};
 use crate::stats::{RoundStats, SimStats};
 use mph_bits::BitVec;
 use mph_metrics::{emit, Event, MetricsSink};
@@ -117,6 +131,135 @@ struct FaultState {
     delayed: Vec<(usize, Message)>,
 }
 
+impl FaultState {
+    /// The per-send filter in front of delivery: whether send `idx` of
+    /// machine `from` reaches its recipient this round.
+    ///
+    /// A crashed recipient's memory no longer exists. Self-messages model
+    /// local memory persistence, not network traffic, so network faults
+    /// never touch them. Any other send may be dropped, held back because
+    /// its sender straggles (the one materialization point: a delayed
+    /// payload outlives the outbox plane it was born in), or corrupted in
+    /// place — each send record owns its own arena range, so no other
+    /// delivery can alias the flipped bit.
+    fn admit(
+        &mut self,
+        round: usize,
+        from: MachineId,
+        idx: usize,
+        outbox: &mut Outbox,
+        metrics: &Option<Arc<dyn MetricsSink>>,
+    ) -> bool {
+        let send = outbox.sends()[idx];
+        if self.crashed[send.to] {
+            return false;
+        }
+        if send.to == from {
+            return true;
+        }
+        if self.plan.drops_message(round, from, idx) {
+            observe_fault(metrics, FaultKind::MessageDropped, from, round);
+            return false;
+        }
+        if self.plan.straggles(from, round) {
+            observe_fault(metrics, FaultKind::StragglerDelay, from, round);
+            let payload = outbox.payload(&send).to_bitvec();
+            let deliver = round + 1 + self.plan.straggler_delay();
+            self.delayed.push((deliver, Message { from, to: send.to, payload }));
+            return false;
+        }
+        if send.len > 0 && self.plan.corrupts_message(round, from, idx) {
+            let bit = self.plan.corruption_bit(round, from, idx, send.len);
+            outbox.flip_payload_bit(send.offset + bit);
+            observe_fault(metrics, FaultKind::MessageCorrupted, from, round);
+        }
+        true
+    }
+}
+
+/// The fault plan as one round sees it. The round body is compiled once
+/// per layer, so with [`NoFaults`] every fault site — round-start crashes
+/// and stragglers, compute-time outages, the per-send filter — is
+/// statically absent: a fault-free round pays nothing for the plan, not
+/// even a per-send branch.
+trait FaultLayer {
+    /// The active fault state, or `None` for a fault-free round.
+    fn active(&mut self) -> Option<&mut FaultState>;
+}
+
+/// No fault plan, or an inert one.
+struct NoFaults;
+
+impl FaultLayer for NoFaults {
+    fn active(&mut self) -> Option<&mut FaultState> {
+        None
+    }
+}
+
+impl FaultLayer for FaultState {
+    fn active(&mut self) -> Option<&mut FaultState> {
+        Some(self)
+    }
+}
+
+/// Where a validated send goes — the one point at which the in-process
+/// round and the extracting shard round differ.
+trait Delivery {
+    /// Delivers `send` of machine `from`, whose payload lives in
+    /// `outbox`'s arena, either into `next` (next round's memory images)
+    /// or out of the simulation.
+    fn deliver(
+        &mut self,
+        next: &mut MemoryImages,
+        from: MachineId,
+        send: SendRecord,
+        outbox: &Outbox,
+    );
+}
+
+/// In-process delivery ([`Simulation::step`]): the recipient's next image
+/// gains a coordinate into the sender's arena; no payload bit moves.
+struct Route;
+
+impl Delivery for Route {
+    fn deliver(&mut self, next: &mut MemoryImages, from: MachineId, send: SendRecord, _: &Outbox) {
+        next.push(send.to, InboxEntry { from, offset: send.offset, len: send.len, aux: false });
+    }
+}
+
+/// Extracting delivery ([`Simulation::step_shard`]): every send leaves as
+/// an owned [`Message`] in sender-major order — the order [`Route`]
+/// appends entries in, which is what makes supervisor-side routing
+/// byte-identical. Nothing is delivered locally, so the images swapped in
+/// at the end of the round are empty.
+struct Extract(Vec<Message>);
+
+impl Delivery for Extract {
+    fn deliver(
+        &mut self,
+        _: &mut MemoryImages,
+        from: MachineId,
+        send: SendRecord,
+        outbox: &Outbox,
+    ) {
+        self.0.push(Message { from, to: send.to, payload: outbox.payload(&send).to_bitvec() });
+    }
+}
+
+/// Records one injected fault into the attached sink (if any).
+fn observe_fault(
+    metrics: &Option<Arc<dyn MetricsSink>>,
+    kind: FaultKind,
+    machine: MachineId,
+    round: usize,
+) {
+    emit(metrics, || Event::Fault {
+        kind: kind.name(),
+        machine: machine as u64,
+        round: round as u64,
+    });
+}
+
 /// A configured MPC computation ready to run.
 ///
 /// # Examples
@@ -156,30 +299,19 @@ pub struct Simulation {
     tape: RandomTape,
     machines: Vec<Arc<dyn MachineLogic>>,
     /// The round's auxiliary arena: payloads with no live sender outbox —
-    /// input seeds, straggler deliveries coming due, restored snapshots —
-    /// back to back. Cleared at the end of every round.
+    /// input seeds, straggler deliveries coming due, restored snapshots,
+    /// shard batches — back to back. Cleared at the end of every round.
     in_arena: BitVec,
     /// Per-machine memory images as coordinates into `read_outboxes` (the
     /// routed path) or `in_arena` (`aux` entries).
-    entries: Vec<Vec<InboxEntry>>,
-    /// Last round's consumed entry lists, kept (emptied) so routing refills
-    /// them without reallocating.
-    scratch_entries: Vec<Vec<InboxEntry>>,
-    /// Dense per-machine planes (incoming bits, message counts) mirroring
-    /// `entries`, maintained at the same sites entries are created and
-    /// destroyed — the round-start memory check scans these words instead
-    /// of walking every entry list.
-    planes: MachinePlanes,
-    /// Next round's planes, filled by the router alongside
-    /// `scratch_entries`; swapped with `planes` at end of round.
-    scratch_planes: MachinePlanes,
+    images: MemoryImages,
+    /// Next round's images, filled by local delivery and swapped with
+    /// `images` at the end of every round; empty between rounds.
+    next: MemoryImages,
     /// Reusable per-machine compute results (queries made, or the round's
     /// violation), written in place by the parallel pass so no result
     /// vector is collected per round.
     results_plane: Vec<Result<u64, ModelViolation>>,
-    /// Per-recipient message counts from the routing count pass, reused
-    /// across rounds.
-    route_counts: Vec<usize>,
     /// The outbox plane machines write this round — one arena-backed outbox
     /// per machine, borrowed mutably by the parallel compute region.
     /// Ping-pongs with `read_outboxes` at the end of every round.
@@ -247,12 +379,9 @@ impl Simulation {
             tape,
             machines: vec![idle; m],
             in_arena: BitVec::new(),
-            entries: vec![Vec::new(); m],
-            scratch_entries: Vec::new(),
-            planes: MachinePlanes::new(m),
-            scratch_planes: MachinePlanes::new(m),
+            images: MemoryImages::new(m),
+            next: MemoryImages::new(m),
             results_plane: Vec::new(),
-            route_counts: Vec::new(),
             outboxes: Vec::new(),
             read_outboxes: Vec::new(),
             round: 0,
@@ -272,17 +401,14 @@ impl Simulation {
     /// Clears all run state — round counter, pending memory images,
     /// collected outputs, statistics — while **retaining** machine
     /// programs, the oracle, the tape, the metrics sink, and every buffer
-    /// allocation (round arenas, entry lists, routing counts, the outbox
-    /// pool). After `reset`, seeding memory and running is observationally
-    /// identical to doing so on a freshly constructed simulation; only the
+    /// allocation (round arenas, entry lists, the outbox pool). After
+    /// `reset`, seeding memory and running is observationally identical
+    /// to doing so on a freshly constructed simulation; only the
     /// allocator traffic differs.
     pub fn reset(&mut self) -> &mut Self {
         self.in_arena.clear();
-        for entries in &mut self.entries {
-            entries.clear();
-        }
-        self.planes.reset();
-        self.scratch_planes.reset();
+        self.images.clear();
+        self.next.clear();
         for outbox in &mut self.read_outboxes {
             outbox.clear();
         }
@@ -337,15 +463,6 @@ impl Simulation {
         violation
     }
 
-    /// Records one injected fault into the attached sink (if any).
-    fn observe_fault(&self, kind: FaultKind, machine: MachineId, round: usize) {
-        emit(&self.metrics, || Event::Fault {
-            kind: kind.name(),
-            machine: machine as u64,
-            round: round as u64,
-        });
-    }
-
     /// Installs a fault plan; subsequent rounds apply its faults between
     /// compute and delivery (see [`crate::faults`] for the model and its
     /// determinism contract). Replaces any previous plan and clears its
@@ -388,12 +505,17 @@ impl Simulation {
     /// Checked against `s` when round 0 delivers it.
     pub fn seed_memory(&mut self, machine: MachineId, payload: BitVec) -> &mut Self {
         assert!(machine < self.m, "seed target {machine} out of range (m = {})", self.m);
-        let offset = self.in_arena.len();
-        let len = payload.len();
-        self.in_arena.extend_bits(&payload);
-        self.entries[machine].push(InboxEntry { from: machine, offset, len, aux: true });
-        self.planes.add(machine, len);
+        self.deliver_aux(machine, machine, &payload);
         self
+    }
+
+    /// Appends `payload` to the auxiliary arena as a pending message from
+    /// `from` to `to` — the delivery path of every payload with no live
+    /// sender outbox.
+    fn deliver_aux(&mut self, from: MachineId, to: MachineId, payload: &BitVec) {
+        let offset = self.in_arena.len();
+        self.in_arena.extend_bits(payload);
+        self.images.push(to, InboxEntry { from, offset, len: payload.len(), aux: true });
     }
 
     /// The number of machines `m`.
@@ -421,7 +543,7 @@ impl Simulation {
     /// snapshots as the output of its `𝒜₁` — as a zero-copy view into the
     /// round arena.
     pub fn inbox(&self, machine: MachineId) -> Inbox<'_> {
-        Inbox::routed(&self.in_arena, &self.read_outboxes, &self.entries[machine])
+        Inbox::routed(&self.in_arena, &self.read_outboxes, self.images.entries(machine))
     }
 
     /// Output contributions collected so far.
@@ -440,21 +562,35 @@ impl Simulation {
     /// between compute and delivery. Every injected fault emits an
     /// [`Event::Fault`] into the attached metrics sink.
     pub fn step(&mut self) -> Result<&[(MachineId, BitVec)], ModelViolation> {
-        // Detach the fault state so its bookkeeping and the `observe*`
-        // helpers (which borrow `self`) can proceed side by side. An inert
-        // plan is treated as absent: the fault-free hot path is untouched.
+        let outputs_before = self.outputs.len();
+        // Detach the fault state so the round can borrow it beside `self`.
+        // An inert plan is treated as absent: the round runs without the
+        // fault layer.
         let mut faults = self.faults.take();
-        let active = faults.as_mut().filter(|fs| !fs.plan.is_inert());
-        let result = self.step_inner(active);
+        let result = match faults.as_mut().filter(|fs| !fs.plan.is_inert()) {
+            Some(fs) => self.run_round(0, self.m, &mut Route, fs),
+            None => self.run_round(0, self.m, &mut Route, &mut NoFaults),
+        };
         self.faults = faults;
-        let outputs_before = result?;
+        result?;
         Ok(&self.outputs[outputs_before..])
     }
 
-    /// The body of [`Simulation::step`]; returns the pre-round output
-    /// count so `step` can slice the newly emitted outputs.
-    fn step_inner(&mut self, mut faults: Option<&mut FaultState>) -> Result<usize, ModelViolation> {
-        emit(&self.metrics, || Event::RoundStart { round: self.round as u64 });
+    /// The one round body: machines `[lo, hi)` compute, their sends are
+    /// validated against the model, and every send the fault layer admits
+    /// goes where `delivery` puts it. Outputs accumulate in
+    /// [`Simulation::outputs`] and the round's statistics in
+    /// [`Simulation::stats`]. Machines outside the range must carry empty
+    /// memory images.
+    fn run_round<D: Delivery, F: FaultLayer>(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        delivery: &mut D,
+        faults: &mut F,
+    ) -> Result<(), ModelViolation> {
+        let round = self.round;
+        emit(&self.metrics, || Event::RoundStart { round: round as u64 });
 
         // 0. Round-start faults: inject straggler messages that come due
         //    this round (appending their payloads to the round arena), then
@@ -462,8 +598,7 @@ impl Simulation {
         //    computes nothing from here on).
         let mut messages = 0;
         let mut bits_sent = 0;
-        if let Some(fs) = faults.as_deref_mut() {
-            let round = self.round;
+        if let Some(fs) = faults.active() {
             let mut i = 0;
             while i < fs.delayed.len() {
                 if fs.delayed[i].0 > round {
@@ -479,47 +614,32 @@ impl Simulation {
                 messages += 1;
                 bits_sent += bits;
                 emit(&self.metrics, || Event::MessageRouted { bits: bits as u64 });
-                let offset = self.in_arena.len();
-                self.in_arena.extend_bits(&msg.payload);
-                self.entries[msg.to].push(InboxEntry {
-                    from: msg.from,
-                    offset,
-                    len: bits,
-                    aux: true,
-                });
-                self.planes.add(msg.to, bits);
+                self.deliver_aux(msg.from, msg.to, &msg.payload);
             }
-            for machine in 0..self.m {
+            for machine in lo..hi {
                 if !fs.crashed[machine] && fs.plan.crashes_at(machine, round) {
                     fs.crashed[machine] = true;
-                    self.observe_fault(FaultKind::Crash, machine, round);
+                    observe_fault(&self.metrics, FaultKind::Crash, machine, round);
                 }
                 if fs.crashed[machine] {
-                    // Entries go; the orphaned arena bits are unreachable
-                    // and die with the arena at the end of the round.
-                    self.entries[machine].clear();
-                    self.planes.clear_machine(machine);
+                    // The image goes; the orphaned arena bits are
+                    // unreachable and die with the arena at round end.
+                    self.images.clear_machine(machine);
                 }
             }
         }
 
         // 1. Delivery-time memory check (the paper bounds what a machine
-        //    may *receive*). The SoA planes make this a dense scan of
-        //    machine-indexed words: no entry list — let alone payload word
-        //    — is touched.
+        //    may *receive*): a dense scan of the machine-indexed bits
+        //    plane — no entry list, let alone payload word, is touched.
         let mut max_memory_bits = 0;
         let mut active = 0;
-        for i in 0..self.m {
-            let bits = self.planes.bits(i);
-            debug_assert_eq!(
-                bits,
-                self.entries[i].iter().map(|e| e.len).sum::<usize>(),
-                "incoming-bits plane out of sync with entry list of machine {i}"
-            );
+        for i in lo..hi {
+            let bits = self.images.bits(i);
             if bits > self.s_bits {
                 return Err(self.observe(ModelViolation::MemoryExceeded {
                     machine: i,
-                    round: self.round,
+                    round,
                     incoming_bits: bits,
                     s_bits: self.s_bits,
                 }));
@@ -531,21 +651,16 @@ impl Simulation {
                 });
             }
             max_memory_bits = max_memory_bits.max(bits);
-            if self.planes.is_active(i) {
-                debug_assert!(!self.entries[i].is_empty());
-                active += 1;
-            } else {
-                debug_assert!(self.entries[i].is_empty());
-            }
+            active += usize::from(self.images.is_active(i));
         }
 
-        // 2. Run all machines of the round in parallel, each against a
+        // 2. Run the range's machines in parallel, each against a
         //    zero-copy view of its memory image and a recycled outbox from
-        //    the pool (moved in, recovered after routing). Fault decisions
-        //    made inside the parallel region are pure functions of
-        //    (seed, machine, round), so they are identical under any
+        //    the pool — global machine ids, global `m`, the same tape, so a
+        //    machine computes the same bits in every delivery mode. Fault
+        //    decisions made inside the parallel region are pure functions
+        //    of (seed, machine, round), so they are identical under any
         //    thread count or schedule.
-        let round = self.round;
         let oracle = &*self.oracle;
         let tape = &self.tape;
         let q = self.q;
@@ -553,29 +668,29 @@ impl Simulation {
         let machines = &self.machines;
         let aux_arena = &self.in_arena;
         let read_boxes = &self.read_outboxes;
-        let entries = &self.entries;
-        let fault_view: Option<(&[bool], FaultPlan)> =
-            faults.as_deref().map(|fs| (fs.crashed.as_slice(), fs.plan));
+        let images = &self.images;
+        let fault_view = faults.active().map(|fs| (fs.crashed.as_slice(), fs.plan));
         let mut pool = std::mem::take(&mut self.outboxes);
         pool.resize_with(m, Outbox::new);
         let mut results = std::mem::take(&mut self.results_plane);
         results.clear();
-        results.resize_with(m, || Ok(0));
+        results.resize_with(hi - lo, || Ok(0));
         // Outboxes and results stay in place: the parallel pass works
         // through `&mut` borrows and writes each machine's result into its
         // slot of the reused plane, so nothing crosses the join — not even
         // machine words. The chunking hint groups idle machines into the
         // active machines' chunks (a sparse round — the honest pipeline's
         // single token walker — runs inline with no pool round-trip).
-        let min_len = compute_min_len(m, active);
-        (&mut pool)
+        let min_len = compute_min_len(hi - lo, active);
+        (&mut pool[lo..hi])
             .into_par_iter()
             .zip((&mut results).into_par_iter())
             .enumerate()
             .with_min_len(min_len)
-            .map(|(id, (out, slot))| {
+            .map(|(idx, (out, slot))| {
+                let id = lo + idx;
                 out.clear();
-                let inbox = Inbox::routed(aux_arena, read_boxes, &entries[id]);
+                let inbox = Inbox::routed(aux_arena, read_boxes, images.entries(id));
                 if let Some((crashed, plan)) = fault_view {
                     if crashed[id] {
                         return;
@@ -598,14 +713,14 @@ impl Simulation {
 
         // Outage events are emitted here, sequentially, by re-deciding the
         // same pure predicate — sinks see a deterministic event order.
-        if let Some(fs) = faults.as_deref() {
+        if let Some(fs) = faults.active() {
             if fs.plan.spec().oracle_outage_rate > 0.0 {
-                for id in 0..self.m {
+                for id in lo..hi {
                     if !fs.crashed[id]
-                        && !self.entries[id].is_empty()
+                        && self.images.is_active(id)
                         && fs.plan.oracle_unavailable(id, round)
                     {
-                        self.observe_fault(FaultKind::OracleUnavailable, id, round);
+                        observe_fault(&self.metrics, FaultKind::OracleUnavailable, id, round);
                     }
                 }
             }
@@ -614,7 +729,7 @@ impl Simulation {
         // Surface the first failure in machine order (the parallel pass is
         // deterministic, so "first" is well-defined and reproducible), and
         // fold the per-machine query counts into round totals while at it.
-        // The plane goes back to `self` first so its allocation survives
+        // The planes go back to `self` first so their allocations survive
         // even a violation round.
         let mut oracle_queries = 0;
         let mut max_queries_one_machine = 0;
@@ -631,146 +746,33 @@ impl Simulation {
             }
         }
         self.results_plane = results;
-        if let Some(v) = first_violation {
+        if let Err(v) = first_violation.map_or_else(|| self.check_sends(lo, &pool[lo..hi]), Err) {
+            self.outboxes = pool;
             return Err(self.observe(v));
         }
 
-        // 3. Route deterministically in machine order, in two passes.
-        //
-        // Pass 1 — count and validate: recipient indices, and the sender-side
-        // model bound. A machine computes on `s` bits of local state
-        // (Definition 2.1), so everything it transmits in a round — messages
-        // plus any output contribution — must fit in `s`. A pure metadata
-        // scan over the send records; payload bits are untouched.
-        let mut counts = std::mem::take(&mut self.route_counts);
-        counts.clear();
-        counts.resize(self.m, 0);
-        for (id, outbox) in pool.iter().enumerate() {
-            let mut outgoing_bits = 0;
-            for send in outbox.sends() {
-                if send.to >= self.m {
-                    return Err(self.observe(ModelViolation::BadRecipient {
-                        machine: id,
-                        round: self.round,
-                        to: send.to,
-                        m: self.m,
-                    }));
-                }
-                outgoing_bits += send.len;
-                counts[send.to] += 1;
-            }
-            outgoing_bits += outbox.output.as_ref().map_or(0, |out| out.len());
-            if outgoing_bits > self.s_bits {
-                return Err(self.observe(ModelViolation::SendExceeded {
-                    machine: id,
-                    round: self.round,
-                    outgoing_bits,
-                    s_bits: self.s_bits,
-                }));
-            }
-        }
-
-        // Pass 2 — deliver: hand each surviving payload to its recipient as
-        // a coordinate into the sender's outbox arena. No payload bit moves
-        // at delivery; the outbox plane stays alive (read-only) through the
-        // next round, which is exactly the lifetime the entry views need.
-        // Entry lists reuse last round's allocations, pre-sized to their
-        // exact message counts.
-        let mut next_entries = std::mem::take(&mut self.scratch_entries);
-        next_entries.resize_with(self.m, Vec::new);
-        for (entries, &count) in next_entries.iter_mut().zip(&counts) {
-            debug_assert!(entries.is_empty());
-            entries.reserve(count);
-        }
-        let outputs_before = self.outputs.len();
-        if let Some(fs) = faults {
-            for (id, outbox) in pool.iter_mut().enumerate() {
-                // Network faults strike between compute and delivery. A
-                // straggling machine delays *all* its cross-machine traffic
-                // for the round; drop/corrupt decisions are per message.
-                let straggling = fs.plan.straggles(id, self.round);
-                for idx in 0..outbox.message_count() {
-                    let send = outbox.sends()[idx];
-                    if fs.crashed[send.to] {
-                        // The recipient's memory no longer exists.
+        // 3. Deliver in sender-major order — sender id, then emission
+        //    index — every send the fault layer admits.
+        for (id, outbox) in (lo..hi).zip(&mut pool[lo..hi]) {
+            for idx in 0..outbox.message_count() {
+                if let Some(fs) = faults.active() {
+                    if !fs.admit(round, id, idx, outbox, &self.metrics) {
                         continue;
                     }
-                    // Self-messages model local memory persistence, not
-                    // network traffic — network faults never touch them.
-                    if send.to != id {
-                        if fs.plan.drops_message(self.round, id, idx) {
-                            self.observe_fault(FaultKind::MessageDropped, id, self.round);
-                            continue;
-                        }
-                        if straggling {
-                            self.observe_fault(FaultKind::StragglerDelay, id, self.round);
-                            let deliver = self.round + 1 + fs.plan.straggler_delay();
-                            // The one materialization point: a delayed
-                            // payload outlives the outbox plane it was
-                            // born in.
-                            fs.delayed.push((
-                                deliver,
-                                Message {
-                                    from: id,
-                                    to: send.to,
-                                    payload: outbox.payload(&send).to_bitvec(),
-                                },
-                            ));
-                            continue;
-                        }
-                        if send.len > 0 && fs.plan.corrupts_message(self.round, id, idx) {
-                            // Corruption flips the bit in the delivered
-                            // range; each send record owns its own arena
-                            // range, so no other delivery can alias it.
-                            let bit = fs.plan.corruption_bit(self.round, id, idx, send.len);
-                            outbox.flip_payload_bit(send.offset + bit);
-                            self.observe_fault(FaultKind::MessageCorrupted, id, self.round);
-                        }
-                    }
-                    messages += 1;
-                    bits_sent += send.len;
-                    emit(&self.metrics, || Event::MessageRouted { bits: send.len as u64 });
-                    next_entries[send.to].push(InboxEntry {
-                        from: id,
-                        offset: send.offset,
-                        len: send.len,
-                        aux: false,
-                    });
-                    self.scratch_planes.add(send.to, send.len);
                 }
-                if let Some(out) = outbox.output.take() {
-                    self.outputs.push((id, out));
-                }
+                let send = outbox.sends()[idx];
+                messages += 1;
+                bits_sent += send.len;
+                emit(&self.metrics, || Event::MessageRouted { bits: send.len as u64 });
+                delivery.deliver(&mut self.next, id, send, outbox);
             }
-        } else {
-            // No fault plan installed — every send survives verbatim, so
-            // delivery is just the bookkeeping itself. This is the loop
-            // every fault-free round (all of them, for a plain
-            // `Simulation`) runs over `m × messages` sends; keeping the
-            // per-message fault decisions out of it is worth several
-            // nanoseconds on each of the window-persistence self-sends
-            // that dominate pipeline traffic.
-            for (id, outbox) in pool.iter_mut().enumerate() {
-                for &send in outbox.sends() {
-                    messages += 1;
-                    bits_sent += send.len;
-                    emit(&self.metrics, || Event::MessageRouted { bits: send.len as u64 });
-                    next_entries[send.to].push(InboxEntry {
-                        from: id,
-                        offset: send.offset,
-                        len: send.len,
-                        aux: false,
-                    });
-                    self.scratch_planes.add(send.to, send.len);
-                }
-                if let Some(out) = outbox.output.take() {
-                    self.outputs.push((id, out));
-                }
+            if let Some(out) = outbox.output.take() {
+                self.outputs.push((id, out));
             }
         }
 
         emit(&self.metrics, || Event::RoundEnd {
-            round: self.round as u64,
+            round: round as u64,
             messages: messages as u64,
             bits_sent: bits_sent as u64,
             oracle_queries,
@@ -779,7 +781,7 @@ impl Simulation {
             active_machines: active as u64,
         });
         self.stats.rounds.push(RoundStats {
-            round: self.round,
+            round,
             messages,
             bits_sent,
             oracle_queries,
@@ -791,21 +793,62 @@ impl Simulation {
         // the routed entries point into, and the plane consumed this round
         // returns to the pool to be rewritten next round (capacity intact).
         // The auxiliary arena's payloads were consumed by this round's
-        // inboxes, so it restarts empty; consumed entry lists retire as
-        // next round's scratch.
+        // inboxes, so it restarts empty; consumed images retire as next
+        // round's (emptied) scratch.
         let consumed = std::mem::replace(&mut self.read_outboxes, pool);
         self.outboxes = consumed;
         self.in_arena.clear();
-        std::mem::swap(&mut self.entries, &mut next_entries);
-        std::mem::swap(&mut self.planes, &mut self.scratch_planes);
-        self.scratch_planes.reset();
-        for entries in &mut next_entries {
-            entries.clear();
-        }
-        self.scratch_entries = next_entries;
-        self.route_counts = counts;
+        std::mem::swap(&mut self.images, &mut self.next);
+        self.next.clear();
         self.round += 1;
-        Ok(outputs_before)
+        Ok(())
+    }
+
+    /// Pass 1 of routing: recipient indices, and the sender-side model
+    /// bound. A machine computes on `s` bits of local state (Definition
+    /// 2.1), so everything it transmits in a round — messages plus any
+    /// output contribution — must fit in `s`. A pure metadata scan over
+    /// the send records of `senders` (machines `lo..`); payload bits are
+    /// untouched.
+    fn check_sends(&self, lo: usize, senders: &[Outbox]) -> Result<(), ModelViolation> {
+        for (id, outbox) in (lo..).zip(senders) {
+            let mut outgoing_bits = 0;
+            for send in outbox.sends() {
+                if send.to >= self.m {
+                    return Err(ModelViolation::BadRecipient {
+                        machine: id,
+                        round: self.round,
+                        to: send.to,
+                        m: self.m,
+                    });
+                }
+                outgoing_bits += send.len;
+            }
+            outgoing_bits += outbox.output.as_ref().map_or(0, BitVec::len);
+            if outgoing_bits > self.s_bits {
+                return Err(ModelViolation::SendExceeded {
+                    machine: id,
+                    round: self.round,
+                    outgoing_bits,
+                    s_bits: self.s_bits,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Drains the collected outputs and statistics of a run that started
+    /// at round `start_round` with a limit of `limit` rounds.
+    fn drain(&mut self, completed: bool, start_round: usize, limit: usize) -> RunResult {
+        RunResult {
+            outcome: if completed {
+                RunOutcome::Completed { rounds: self.round - start_round }
+            } else {
+                RunOutcome::RoundLimit { limit }
+            },
+            outputs: std::mem::take(&mut self.outputs),
+            stats: std::mem::take(&mut self.stats),
+        }
     }
 
     /// Runs until some machine emits an output or `max_rounds` is reached.
@@ -815,22 +858,7 @@ impl Simulation {
     /// reused simulation `RunOutcome::Completed { rounds }` always agrees
     /// with [`RunResult::rounds`].
     pub fn run_until_output(&mut self, max_rounds: usize) -> Result<RunResult, ModelViolation> {
-        let start_round = self.round;
-        for _ in 0..max_rounds {
-            let produced_output = !self.step()?.is_empty();
-            if produced_output {
-                return Ok(RunResult {
-                    outcome: RunOutcome::Completed { rounds: self.round - start_round },
-                    outputs: std::mem::take(&mut self.outputs),
-                    stats: std::mem::take(&mut self.stats),
-                });
-            }
-        }
-        Ok(RunResult {
-            outcome: RunOutcome::RoundLimit { limit: max_rounds },
-            outputs: std::mem::take(&mut self.outputs),
-            stats: std::mem::take(&mut self.stats),
-        })
+        self.run_with_watchdog(max_rounds, &mut || false).map(|(result, _)| result)
     }
 
     /// Like [`Simulation::run_until_output`], but polls the `expired`
@@ -850,35 +878,13 @@ impl Simulation {
         let start_round = self.round;
         for _ in 0..max_rounds {
             if expired() {
-                return Ok((
-                    RunResult {
-                        outcome: RunOutcome::RoundLimit { limit: max_rounds },
-                        outputs: std::mem::take(&mut self.outputs),
-                        stats: std::mem::take(&mut self.stats),
-                    },
-                    true,
-                ));
+                return Ok((self.drain(false, start_round, max_rounds), true));
             }
-            let produced_output = !self.step()?.is_empty();
-            if produced_output {
-                return Ok((
-                    RunResult {
-                        outcome: RunOutcome::Completed { rounds: self.round - start_round },
-                        outputs: std::mem::take(&mut self.outputs),
-                        stats: std::mem::take(&mut self.stats),
-                    },
-                    false,
-                ));
+            if !self.step()?.is_empty() {
+                return Ok((self.drain(true, start_round, max_rounds), false));
             }
         }
-        Ok((
-            RunResult {
-                outcome: RunOutcome::RoundLimit { limit: max_rounds },
-                outputs: std::mem::take(&mut self.outputs),
-                stats: std::mem::take(&mut self.stats),
-            },
-            false,
-        ))
+        Ok((self.drain(false, start_round, max_rounds), false))
     }
 
     /// Captures the simulation's run state as a durable
@@ -938,25 +944,15 @@ impl Simulation {
         self.round = snap.round;
         // Re-pack the owned snapshot payloads into the auxiliary arena (a
         // restored image has no live sender outboxes to point into).
-        let arena = &mut self.in_arena;
-        arena.clear();
+        self.in_arena.clear();
         for outbox in &mut self.read_outboxes {
             outbox.clear();
         }
-        self.planes.reset();
-        self.scratch_planes.reset();
-        for (to, (entries, saved)) in self.entries.iter_mut().zip(&snap.inboxes).enumerate() {
-            entries.clear();
+        self.images.clear();
+        self.next.clear();
+        for (to, saved) in (0..self.m).zip(&snap.inboxes) {
             for msg in saved {
-                let offset = arena.len();
-                arena.extend_bits(&msg.payload);
-                entries.push(InboxEntry {
-                    from: msg.from,
-                    offset,
-                    len: msg.payload.len(),
-                    aux: true,
-                });
-                self.planes.add(to, msg.payload.len());
+                self.deliver_aux(msg.from, to, &msg.payload);
             }
         }
         self.outputs = snap.outputs.clone();
@@ -977,11 +973,8 @@ impl Simulation {
     /// invariant holds: machines outside the shard carry nothing.
     pub fn retain_shard(&mut self, lo: usize, hi: usize) -> &mut Self {
         assert!(lo < hi && hi <= self.m, "shard [{lo}, {hi}) out of range (m = {})", self.m);
-        for machine in 0..self.m {
-            if machine < lo || machine >= hi {
-                self.entries[machine].clear();
-                self.planes.clear_machine(machine);
-            }
+        for machine in (0..lo).chain(hi..self.m) {
+            self.images.clear_machine(machine);
         }
         self
     }
@@ -1003,11 +996,7 @@ impl Simulation {
             }
         }
         for msg in msgs {
-            let offset = self.in_arena.len();
-            let len = msg.payload.len();
-            self.in_arena.extend_bits(&msg.payload);
-            self.entries[msg.to].push(InboxEntry { from: msg.from, offset, len, aux: true });
-            self.planes.add(msg.to, len);
+            self.deliver_aux(msg.from, msg.to, &msg.payload);
         }
         Ok(())
     }
@@ -1017,7 +1006,11 @@ impl Simulation {
     /// supervised-worker round (`docs/ROBUSTNESS.md` "Real processes,
     /// real crashes").
     ///
-    /// The contract differs from [`Simulation::step`] in three ways:
+    /// This is the round body of [`Simulation::step`] with extracting
+    /// delivery, so model bounds are enforced exactly as in-process:
+    /// memory at delivery, `q` inside the round, recipient range and the
+    /// sender-side `s` bound over sends plus output bits. The contract
+    /// differs in three ways:
     ///
     /// * Only machines in `[lo, hi)` compute; every other machine must be
     ///   carrying an empty memory image (the invariant
@@ -1033,10 +1026,6 @@ impl Simulation {
     /// * Fault plans don't participate: sharded execution's fault model
     ///   is real process crashes, so a non-inert plan here is a
     ///   programming error (asserted).
-    ///
-    /// Model bounds are enforced exactly as in-process: memory at
-    /// delivery, `q` inside the round, recipient range and the
-    /// sender-side `s` bound over sends plus output bits.
     pub fn step_shard(&mut self, lo: usize, hi: usize) -> Result<ShardRoundOutput, ModelViolation> {
         assert!(lo < hi && hi <= self.m, "shard [{lo}, {hi}) out of range (m = {})", self.m);
         assert!(
@@ -1044,181 +1033,18 @@ impl Simulation {
             "sharded execution does not compose with an injected fault plan; \
              its fault model is real process crashes"
         );
-        emit(&self.metrics, || Event::RoundStart { round: self.round as u64 });
-
-        // 1. Delivery-time memory check over the shard. Machines outside
-        //    it hold nothing by invariant, so the shard scan is the whole
-        //    check.
-        let mut max_memory_bits = 0;
-        let mut active = 0;
-        for i in lo..hi {
-            let bits = self.planes.bits(i);
-            if bits > self.s_bits {
-                return Err(self.observe(ModelViolation::MemoryExceeded {
-                    machine: i,
-                    round: self.round,
-                    incoming_bits: bits,
-                    s_bits: self.s_bits,
-                }));
-            }
-            if bits > 0 {
-                emit(&self.metrics, || Event::MemoryHighWater {
-                    machine: i as u64,
-                    bits: bits as u64,
-                });
-            }
-            max_memory_bits = max_memory_bits.max(bits);
-            if self.planes.is_active(i) {
-                active += 1;
-            }
-        }
-        #[cfg(debug_assertions)]
-        for i in (0..lo).chain(hi..self.m) {
-            debug_assert!(
-                self.entries[i].is_empty(),
-                "machine {i} outside shard [{lo}, {hi}) carries a memory image"
-            );
-        }
-
-        // 2. Run the shard's machines in parallel against zero-copy views,
-        //    exactly as the in-process round does — global machine ids,
-        //    global `m`, the same tape — so each machine's computation is
-        //    bit-identical to its in-process counterpart.
-        let round = self.round;
-        let oracle = &*self.oracle;
-        let tape = &self.tape;
-        let q = self.q;
-        let m = self.m;
-        let machines = &self.machines;
-        let aux_arena = &self.in_arena;
-        let read_boxes = &self.read_outboxes;
-        let entries = &self.entries;
-        let mut pool = std::mem::take(&mut self.outboxes);
-        pool.resize_with(m, Outbox::new);
-        let mut results = std::mem::take(&mut self.results_plane);
-        results.clear();
-        results.resize_with(hi - lo, || Ok(0));
-        let min_len = compute_min_len(hi - lo, active);
-        (&mut pool[lo..hi])
-            .into_par_iter()
-            .zip((&mut results).into_par_iter())
-            .enumerate()
-            .with_min_len(min_len)
-            .map(|(idx, (out, slot))| {
-                let id = lo + idx;
-                out.clear();
-                let inbox = Inbox::routed(aux_arena, read_boxes, &entries[id]);
-                let ctx = RoundCtx::new(id, round, m, oracle, tape, q);
-                *slot = machines[id].round(&ctx, &inbox, out).map(|()| ctx.queries_made());
-            })
-            .collect::<()>();
-
-        let mut oracle_queries = 0;
-        let mut max_queries_one_machine = 0;
-        let mut first_violation = None;
-        for slot in &mut results {
-            match std::mem::replace(slot, Ok(0)) {
-                Ok(queries) => {
-                    oracle_queries += queries;
-                    max_queries_one_machine = max_queries_one_machine.max(queries);
-                }
-                Err(v) => {
-                    first_violation.get_or_insert(v);
-                }
-            }
-        }
-        self.results_plane = results;
-        if let Some(v) = first_violation {
-            self.outboxes = pool;
-            return Err(self.observe(v));
-        }
-
-        // 3. Validate, then extract. Pass 1 is the same metadata scan as
-        //    the in-process router; pass 2 materializes every send as an
-        //    owned message in sender-major order — the exact order the
-        //    in-process router appends entries in, which is what makes
-        //    supervisor-side routing byte-identical.
-        for (idx, outbox) in pool[lo..hi].iter().enumerate() {
-            let id = lo + idx;
-            let mut outgoing_bits = 0;
-            for send in outbox.sends() {
-                if send.to >= self.m {
-                    let err = self.observe(ModelViolation::BadRecipient {
-                        machine: id,
-                        round: self.round,
-                        to: send.to,
-                        m: self.m,
-                    });
-                    self.outboxes = pool;
-                    return Err(err);
-                }
-                outgoing_bits += send.len;
-            }
-            outgoing_bits += outbox.output.as_ref().map_or(0, |out| out.len());
-            if outgoing_bits > self.s_bits {
-                let err = self.observe(ModelViolation::SendExceeded {
-                    machine: id,
-                    round: self.round,
-                    outgoing_bits,
-                    s_bits: self.s_bits,
-                });
-                self.outboxes = pool;
-                return Err(err);
-            }
-        }
-
-        let mut messages = Vec::new();
-        let mut outputs = Vec::new();
-        let mut bits_sent = 0;
-        for (idx, outbox) in pool[lo..hi].iter_mut().enumerate() {
-            let id = lo + idx;
-            for i in 0..outbox.message_count() {
-                let send = outbox.sends()[i];
-                bits_sent += send.len;
-                emit(&self.metrics, || Event::MessageRouted { bits: send.len as u64 });
-                messages.push(Message {
-                    from: id,
-                    to: send.to,
-                    payload: outbox.payload(&send).to_bitvec(),
-                });
-            }
-            if let Some(out) = outbox.output.take() {
-                outputs.push((id, out));
-            }
-        }
-
-        let round_stats = RoundStats {
-            round: self.round,
-            messages: messages.len(),
-            bits_sent,
-            oracle_queries,
-            max_queries_one_machine,
-            max_memory_bits,
-            active_machines: active,
-        };
-        emit(&self.metrics, || Event::RoundEnd {
-            round: round_stats.round as u64,
-            messages: round_stats.messages as u64,
-            bits_sent: round_stats.bits_sent as u64,
-            oracle_queries,
-            max_queries_one_machine,
-            max_memory_bits: max_memory_bits as u64,
-            active_machines: active as u64,
-        });
-        self.stats.rounds.push(round_stats.clone());
-
-        // Everything was extracted, so the round barrier leaves every
-        // memory image empty: consumed entries, the auxiliary arena, and
-        // the planes all clear, and the outbox pool returns whole (nothing
-        // views into it). A snapshot taken here is minimal by design.
-        for machine in lo..hi {
-            self.entries[machine].clear();
-        }
-        self.in_arena.clear();
-        self.planes.reset();
-        self.outboxes = pool;
-        self.round += 1;
-        Ok(ShardRoundOutput { messages, outputs, stats: round_stats })
+        debug_assert!(
+            (0..lo).chain(hi..self.m).all(|i| !self.images.is_active(i)),
+            "a machine outside shard [{lo}, {hi}) carries a memory image"
+        );
+        let outputs_before = self.outputs.len();
+        let mut extract = Extract(Vec::new());
+        self.run_round(lo, hi, &mut extract, &mut NoFaults)?;
+        Ok(ShardRoundOutput {
+            messages: extract.0,
+            outputs: self.outputs.split_off(outputs_before),
+            stats: self.stats.rounds.last().cloned().expect("a completed round records its stats"),
+        })
     }
 
     /// Runs exactly `rounds` rounds (collecting any outputs along the way).
@@ -1231,15 +1057,7 @@ impl Simulation {
             self.step()?;
         }
         let completed = !self.outputs.is_empty();
-        Ok(RunResult {
-            outcome: if completed {
-                RunOutcome::Completed { rounds: self.round - start_round }
-            } else {
-                RunOutcome::RoundLimit { limit: rounds }
-            },
-            outputs: std::mem::take(&mut self.outputs),
-            stats: std::mem::take(&mut self.stats),
-        })
+        Ok(self.drain(completed, start_round, rounds))
     }
 }
 
@@ -1269,6 +1087,54 @@ mod tests {
         })
     }
 
+    /// Runs `rounds` rounds of `build()` in extracting mode, split into
+    /// `shards` contiguous shards — one simulation per shard, each
+    /// extracted message routed to its recipient's shard, as the
+    /// supervisor does — and returns the first violation.
+    fn run_sharded(
+        build: &impl Fn() -> Simulation,
+        shards: usize,
+        rounds: usize,
+    ) -> Result<(), ModelViolation> {
+        let bounds = crate::shard::partition_shards(build().m(), shards);
+        let mut sims: Vec<Simulation> = bounds
+            .iter()
+            .map(|&(lo, hi)| {
+                let mut s = build();
+                s.retain_shard(lo, hi);
+                s
+            })
+            .collect();
+        let mut batches = vec![Vec::new(); bounds.len()];
+        for _ in 0..rounds {
+            let mut sent = Vec::new();
+            for ((s, &(lo, hi)), batch) in sims.iter_mut().zip(&bounds).zip(&mut batches) {
+                s.inject_messages(&std::mem::take(batch))?;
+                sent.extend(s.step_shard(lo, hi)?.messages);
+            }
+            for msg in sent {
+                batches[bounds.partition_point(|&(_, hi)| hi <= msg.to)].push(msg);
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `rounds` rounds of `build()` in process, asserts that every
+    /// sharding of it (1 to `m` shards) ends with the same `Ok`/`Err`,
+    /// and returns that result — the model bounds hold in both delivery
+    /// modes of the one round engine.
+    fn same_in_both_modes(
+        build: impl Fn() -> Simulation,
+        rounds: usize,
+    ) -> Result<(), ModelViolation> {
+        let mut s = build();
+        let in_process = (0..rounds).try_for_each(|_| s.step().map(drop));
+        for shards in 1..=s.m() {
+            assert_eq!(run_sharded(&build, shards, rounds), in_process, "{shards} shard(s)");
+        }
+        in_process
+    }
+
     #[test]
     fn relay_completes_and_counts_rounds() {
         let mut s = sim(4, 64);
@@ -1287,24 +1153,31 @@ mod tests {
         // Machines 0 and 1 each send 10 bits to machine 2 — each sender is
         // within its own s = 16 send budget, but the combined delivery of
         // 20 bits overflows the receiver's memory at the start of round 1.
-        let mut s = sim(3, 16);
-        let sender: Arc<dyn MachineLogic> =
-            Arc::new(|_ctx: &RoundCtx<'_>, incoming: &Inbox<'_>, out: &mut Outbox| {
-                if incoming.is_empty() {
-                    return Ok(());
-                }
-                out.push(2, &BitVec::zeros(10));
-                Ok(())
-            });
-        s.set_logic(0, Arc::clone(&sender));
-        s.set_logic(1, sender);
-        s.seed_memory(0, BitVec::zeros(1));
-        s.seed_memory(1, BitVec::zeros(1));
-        s.step().unwrap(); // round 0: both send
-        let err = s.step().unwrap_err(); // round 1: delivery check
+        let build = || {
+            let mut s = sim(3, 16);
+            let sender: Arc<dyn MachineLogic> =
+                Arc::new(|_ctx: &RoundCtx<'_>, incoming: &Inbox<'_>, out: &mut Outbox| {
+                    if incoming.is_empty() {
+                        return Ok(());
+                    }
+                    out.push(2, &BitVec::zeros(10));
+                    Ok(())
+                });
+            s.set_logic(0, Arc::clone(&sender));
+            s.set_logic(1, sender);
+            s.seed_memory(0, BitVec::zeros(1));
+            s.seed_memory(1, BitVec::zeros(1));
+            s
+        };
+        // Round 0: both send; round 1: the delivery check.
         assert_eq!(
-            err,
-            ModelViolation::MemoryExceeded { machine: 2, round: 1, incoming_bits: 20, s_bits: 16 }
+            same_in_both_modes(build, 2),
+            Err(ModelViolation::MemoryExceeded {
+                machine: 2,
+                round: 1,
+                incoming_bits: 20,
+                s_bits: 16
+            })
         );
     }
 
@@ -1366,42 +1239,52 @@ mod tests {
 
     #[test]
     fn send_at_exactly_s_is_legal() {
-        let mut s = sim(2, 16);
-        s.set_logic(
-            0,
-            Arc::new(|_ctx: &RoundCtx<'_>, incoming: &Inbox<'_>, out: &mut Outbox| {
-                if incoming.is_empty() {
-                    return Ok(());
-                }
-                out.push(1, &BitVec::zeros(10));
-                out.emit(BitVec::zeros(6));
-                Ok(())
-            }),
-        );
-        s.seed_memory(0, BitVec::zeros(1));
-        assert!(s.step().is_ok());
+        let build = || {
+            let mut s = sim(2, 16);
+            s.set_logic(
+                0,
+                Arc::new(|_ctx: &RoundCtx<'_>, incoming: &Inbox<'_>, out: &mut Outbox| {
+                    if incoming.is_empty() {
+                        return Ok(());
+                    }
+                    out.push(1, &BitVec::zeros(10));
+                    out.emit(BitVec::zeros(6));
+                    Ok(())
+                }),
+            );
+            s.seed_memory(0, BitVec::zeros(1));
+            s
+        };
+        assert!(same_in_both_modes(build, 1).is_ok());
     }
 
     #[test]
     fn send_at_s_plus_one_fails() {
         // The exact boundary: 16 bits passed above; 17 must be rejected.
-        let mut s = sim(2, 16);
-        s.set_logic(
-            0,
-            Arc::new(|_ctx: &RoundCtx<'_>, incoming: &Inbox<'_>, out: &mut Outbox| {
-                if incoming.is_empty() {
-                    return Ok(());
-                }
-                out.push(1, &BitVec::zeros(11));
-                out.emit(BitVec::zeros(6));
-                Ok(())
-            }),
-        );
-        s.seed_memory(0, BitVec::zeros(1));
-        let err = s.step().unwrap_err();
+        let build = || {
+            let mut s = sim(2, 16);
+            s.set_logic(
+                0,
+                Arc::new(|_ctx: &RoundCtx<'_>, incoming: &Inbox<'_>, out: &mut Outbox| {
+                    if incoming.is_empty() {
+                        return Ok(());
+                    }
+                    out.push(1, &BitVec::zeros(11));
+                    out.emit(BitVec::zeros(6));
+                    Ok(())
+                }),
+            );
+            s.seed_memory(0, BitVec::zeros(1));
+            s
+        };
         assert_eq!(
-            err,
-            ModelViolation::SendExceeded { machine: 0, round: 0, outgoing_bits: 17, s_bits: 16 }
+            same_in_both_modes(build, 1),
+            Err(ModelViolation::SendExceeded {
+                machine: 0,
+                round: 0,
+                outgoing_bits: 17,
+                s_bits: 16
+            })
         );
     }
 
@@ -1529,27 +1412,35 @@ mod tests {
 
     #[test]
     fn query_budget_violation_propagates() {
-        let mut s = sim(1, 64);
-        s.set_query_budget(2);
-        s.set_uniform_logic(Arc::new(|ctx: &RoundCtx<'_>, _: &Inbox<'_>, _: &mut Outbox| {
-            for i in 0..3u64 {
-                ctx.query(&BitVec::from_u64(i, 16))?;
-            }
-            Ok(())
-        }));
-        s.seed_memory(0, BitVec::zeros(1));
-        let err = s.step().unwrap_err();
-        assert_eq!(err, ModelViolation::QueryBudgetExceeded { machine: 0, round: 0, q: 2 });
+        let build = || {
+            let mut s = sim(1, 64);
+            s.set_query_budget(2);
+            s.set_uniform_logic(Arc::new(|ctx: &RoundCtx<'_>, _: &Inbox<'_>, _: &mut Outbox| {
+                for i in 0..3u64 {
+                    ctx.query(&BitVec::from_u64(i, 16))?;
+                }
+                Ok(())
+            }));
+            s.seed_memory(0, BitVec::zeros(1));
+            s
+        };
+        assert_eq!(
+            same_in_both_modes(build, 1),
+            Err(ModelViolation::QueryBudgetExceeded { machine: 0, round: 0, q: 2 })
+        );
     }
 
     #[test]
     fn bad_recipient_detected() {
-        let mut s = sim(2, 64);
-        s.set_uniform_logic(Arc::new(|_: &RoundCtx<'_>, _: &Inbox<'_>, out: &mut Outbox| {
-            out.push(5, &BitVec::zeros(1));
-            Ok(())
-        }));
-        let err = s.step().unwrap_err();
+        let build = || {
+            let mut s = sim(2, 64);
+            s.set_uniform_logic(Arc::new(|_: &RoundCtx<'_>, _: &Inbox<'_>, out: &mut Outbox| {
+                out.push(5, &BitVec::zeros(1));
+                Ok(())
+            }));
+            s
+        };
+        let err = same_in_both_modes(build, 1).unwrap_err();
         assert!(matches!(err, ModelViolation::BadRecipient { to: 5, m: 2, .. }));
     }
 

@@ -53,17 +53,22 @@
 //! After `SHARD_HELLO` (fresh build, round 0) or `SHARD_SNAPSHOT`
 //! (restore to a round barrier) the worker acknowledges with
 //! `ROUND_ACK(ready)`. Each round the supervisor sends the worker its
-//! inbound `ROUND_MSGS` batch; the worker injects it, steps its shard
-//! ([`Simulation::step_shard`] — **all** sends extracted owned, so the
-//! barrier state is empty), and replies with three frames: its outbound
-//! `ROUND_MSGS`, a `ROUND_ACK` carrying the shard's round statistics and
-//! outputs, and a `SHARD_SNAPSHOT` of the new barrier. A reply is
-//! complete only when all three arrive; a partial reply from a dying
-//! worker is discarded wholesale on recovery. Both ends tolerate stale
-//! frames: the worker silently drops a batch for a round it has already
-//! stepped, and the supervisor skips duplicated reply frames — which is
-//! what makes chaos duplication and replay double-sends converge instead
-//! of wedging the protocol.
+//! inbound `ROUND_MSGS` batch; the worker refuses a batch that addresses
+//! any machine outside its shard (an error ack), injects it, steps its
+//! shard with [`Simulation::step_shard`] — the in-process executor's one
+//! round body over the shard's machine range, with **all** sends
+//! extracted owned instead of routed locally, so the barrier state is
+//! empty — and replies with three frames: its outbound `ROUND_MSGS`, a
+//! `ROUND_ACK` carrying the shard's round statistics and outputs, and a
+//! `SHARD_SNAPSHOT` of the new barrier. The supervisor folds the shards'
+//! statistics with [`RoundStats::merge`] into the round record the
+//! in-process executor would have kept. A reply is complete only when
+//! all three arrive; a partial reply from a dying worker is discarded
+//! wholesale on recovery. Both ends tolerate stale frames: the worker
+//! silently drops a batch for a round it has already stepped, and the
+//! supervisor skips duplicated reply frames — which is what makes chaos
+//! duplication and replay double-sends converge instead of wedging the
+//! protocol.
 //!
 //! # Liveness, crash detection, and recovery
 //!
@@ -648,6 +653,17 @@ pub fn worker_serve_with(
                 if round != sim.round() {
                     let message =
                         format!("batch for round {round} but worker is at round {}", sim.round());
+                    write_frame(&mut output, &err_ack(round, message))?;
+                    continue;
+                }
+                // Every machine outside the shard must keep an empty image
+                // (the step_shard contract), so a misrouted message is a
+                // protocol error, named and refused before anything lands.
+                if let Some(msg) = msgs.iter().find(|msg| !(*lo..*hi).contains(&msg.to)) {
+                    let message = format!(
+                        "batch message for machine {} outside this worker's shard [{lo}, {hi})",
+                        msg.to
+                    );
                     write_frame(&mut output, &err_ack(round, message))?;
                     continue;
                 }
@@ -1443,7 +1459,7 @@ impl Supervisor {
         // executor's.
         let mut round_msgs: Vec<Message> = Vec::new();
         let mut round_outputs: Vec<(MachineId, BitVec)> = Vec::new();
-        let mut merged: Option<RoundStats> = None;
+        let mut merged = RoundStats { round, ..RoundStats::default() };
         let mut barriers: Vec<Vec<u8>> = Vec::with_capacity(self.workers.len());
         for (i, batch) in batches.iter().enumerate().take(self.workers.len()) {
             let reply = self.collect(i, round, batch)?;
@@ -1455,25 +1471,13 @@ impl Supervisor {
             }
             round_msgs.extend(reply.msgs);
             round_outputs.extend(reply.outputs);
-            merged = Some(match merged.take() {
-                None => reply.stats,
-                Some(mut acc) => {
-                    acc.messages += reply.stats.messages;
-                    acc.bits_sent += reply.stats.bits_sent;
-                    acc.oracle_queries += reply.stats.oracle_queries;
-                    acc.max_queries_one_machine =
-                        acc.max_queries_one_machine.max(reply.stats.max_queries_one_machine);
-                    acc.max_memory_bits = acc.max_memory_bits.max(reply.stats.max_memory_bits);
-                    acc.active_machines += reply.stats.active_machines;
-                    acc
-                }
-            });
+            merged.merge(&reply.stats);
             barriers.push(reply.barrier);
         }
         for (w, barrier) in self.workers.iter_mut().zip(barriers) {
             w.barrier = Some(barrier);
         }
-        Ok((round_msgs, round_outputs, merged.expect("at least one shard")))
+        Ok((round_msgs, round_outputs, merged))
     }
 
     /// Runs the sharded computation until some machine emits an output
@@ -1820,6 +1824,25 @@ mod tests {
     }
 
     #[test]
+    fn worker_rejects_out_of_shard_batch() {
+        // A CRC-valid batch that addresses machine 2 (< m, but outside
+        // the worker's shard [0, 2)) is refused with a typed error ack;
+        // the worker stays up and answers the next probe.
+        let m = 3;
+        let hello = Frame::Hello { lo: 0, hi: 2, nonce: 0, spec: Vec::new() };
+        let stray = Message { from: 0, to: 2, payload: BitVec::from_u64(0b1, 4) };
+        let bad = Frame::RoundMsgs { round: 0, msgs: vec![stray] };
+        let probe = Frame::Heartbeat { seq: 3 };
+        let replies = drive_worker(&[hello, bad, probe], m);
+        assert!(matches!(replies[0], Frame::RoundAck { ack: Ack::Ready, .. }));
+        let Frame::RoundAck { round: 0, ack: Ack::Error { message } } = &replies[1] else {
+            panic!("expected an error ack, got {:?}", replies[1]);
+        };
+        assert!(message.contains("machine 2") && message.contains("[0, 2)"), "{message}");
+        assert_eq!(replies[2], Frame::Heartbeat { seq: 3 });
+    }
+
+    #[test]
     fn worker_reports_build_failure_as_error_ack() {
         let hello = Frame::Hello { lo: 0, hi: 1, nonce: 0, spec: Vec::new() };
         let mut wire = Vec::new();
@@ -1880,28 +1903,16 @@ mod tests {
         let mut rounds = 0;
         'run: for round in 0..64 {
             let mut all_msgs = Vec::new();
-            let mut merged: Option<RoundStats> = None;
+            let mut merged = RoundStats { round, ..RoundStats::default() };
             for (i, (sim, lo, hi)) in sims.iter_mut().enumerate() {
                 sim.inject_messages(&batches[i]).unwrap();
                 batches[i].clear();
                 let out = sim.step_shard(*lo, *hi).unwrap();
                 all_msgs.extend(out.messages);
                 outputs.extend(out.outputs);
-                merged = Some(match merged.take() {
-                    None => out.stats,
-                    Some(mut acc) => {
-                        acc.messages += out.stats.messages;
-                        acc.bits_sent += out.stats.bits_sent;
-                        acc.oracle_queries += out.stats.oracle_queries;
-                        acc.max_queries_one_machine =
-                            acc.max_queries_one_machine.max(out.stats.max_queries_one_machine);
-                        acc.max_memory_bits = acc.max_memory_bits.max(out.stats.max_memory_bits);
-                        acc.active_machines += out.stats.active_machines;
-                        acc
-                    }
-                });
+                merged.merge(&out.stats);
             }
-            stats.rounds.push(merged.unwrap());
+            stats.rounds.push(merged);
             if !outputs.is_empty() {
                 rounds = round + 1;
                 break 'run;

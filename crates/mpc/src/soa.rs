@@ -1,50 +1,51 @@
-//! Dense structure-of-arrays planes of per-machine executor state.
+//! Dense structure-of-arrays state of the executor's memory images.
 //!
-//! The executor's per-machine bookkeeping used to live implicitly in its
-//! `Vec<Vec<InboxEntry>>` memory images: the round-start memory check
-//! re-walked every entry list to sum payload lengths, and the parallel
-//! compute pass collected a fresh `Vec<Result<..>>` every round. Both are
-//! per-round costs proportional to structure, not to work.
-//!
-//! [`MachinePlanes`] replaces the walk with two dense `Vec<usize>` planes —
-//! incoming bits and message counts per machine — maintained incrementally
-//! at the few places entries are created or destroyed (seeding, routing,
-//! straggler delivery, crashes, restore). The round-start check becomes a
-//! linear scan of machine-indexed words; the planes are cross-checked
-//! against the entry lists in debug builds.
+//! A machine's memory image is its list of [`InboxEntry`] coordinates.
+//! The round-start memory check needs each image's size in bits; summing
+//! entry lengths would re-walk every list, a per-round cost proportional
+//! to structure, not to work. [`MemoryImages`] keeps a dense plane of
+//! incoming bits beside the lists and changes both only together, through
+//! its methods, so the check is a linear scan of machine-indexed words
+//! that can never drift from the lists it summarizes.
 
-/// Per-machine delivery-time state as dense machine-indexed planes.
+use crate::message::InboxEntry;
+
+/// Per-machine memory images: each machine's pending entry list plus a
+/// dense plane of its incoming bits.
 #[derive(Debug)]
-pub(crate) struct MachinePlanes {
-    /// Incoming bits pending delivery to each machine.
+pub(crate) struct MemoryImages {
+    entries: Vec<Vec<InboxEntry>>,
     bits: Vec<usize>,
-    /// Incoming message count pending delivery to each machine.
-    msgs: Vec<usize>,
 }
 
-impl MachinePlanes {
-    /// Zeroed planes for `m` machines.
+impl MemoryImages {
+    /// Empty images for `m` machines.
     pub(crate) fn new(m: usize) -> Self {
-        MachinePlanes { bits: vec![0; m], msgs: vec![0; m] }
+        MemoryImages { entries: vec![Vec::new(); m], bits: vec![0; m] }
     }
 
-    /// Records one pending message of `len` bits for `machine`.
-    pub(crate) fn add(&mut self, machine: usize, len: usize) {
-        self.bits[machine] += len;
-        self.msgs[machine] += 1;
+    /// Appends one pending message to `machine`'s image.
+    pub(crate) fn push(&mut self, machine: usize, entry: InboxEntry) {
+        self.bits[machine] += entry.len;
+        self.entries[machine].push(entry);
     }
 
-    /// Forgets everything pending for `machine` (crash-stop: its memory
-    /// image no longer exists).
+    /// Forgets `machine`'s image (crash-stop: its memory no longer
+    /// exists; or a machine outside a worker's shard).
     pub(crate) fn clear_machine(&mut self, machine: usize) {
+        self.entries[machine].clear();
         self.bits[machine] = 0;
-        self.msgs[machine] = 0;
     }
 
-    /// Zeroes all planes, keeping their allocation.
-    pub(crate) fn reset(&mut self) {
+    /// Empties every image, keeping all allocations.
+    pub(crate) fn clear(&mut self) {
+        self.entries.iter_mut().for_each(Vec::clear);
         self.bits.iter_mut().for_each(|b| *b = 0);
-        self.msgs.iter_mut().for_each(|c| *c = 0);
+    }
+
+    /// `machine`'s pending entries, in delivery order.
+    pub(crate) fn entries(&self, machine: usize) -> &[InboxEntry] {
+        &self.entries[machine]
     }
 
     /// Incoming bits pending for `machine`.
@@ -55,7 +56,7 @@ impl MachinePlanes {
     /// Whether `machine` has any pending message (zero-length messages
     /// count: an empty payload still activates its recipient).
     pub(crate) fn is_active(&self, machine: usize) -> bool {
-        self.msgs[machine] > 0
+        !self.entries[machine].is_empty()
     }
 }
 
@@ -90,24 +91,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn planes_track_adds_and_clears() {
-        let mut p = MachinePlanes::new(3);
-        assert!(!p.is_active(0));
-        p.add(0, 10);
-        p.add(0, 0); // zero-length messages count as messages
-        p.add(2, 7);
-        assert_eq!(p.bits(0), 10);
-        assert!(p.is_active(0));
-        assert_eq!(p.bits(1), 0);
-        assert!(!p.is_active(1));
-        assert_eq!(p.bits(2), 7);
-        p.clear_machine(0);
-        assert_eq!(p.bits(0), 0);
-        assert!(!p.is_active(0));
-        assert!(p.is_active(2));
-        p.reset();
-        assert!(!p.is_active(2));
-        assert_eq!(p.bits(2), 0);
+    fn images_track_pushes_and_clears() {
+        let entry = |len| InboxEntry { from: 0, offset: 0, len, aux: true };
+        let mut images = MemoryImages::new(3);
+        assert!(!images.is_active(0));
+        images.push(0, entry(10));
+        images.push(0, entry(0)); // zero-length messages count as messages
+        images.push(2, entry(7));
+        assert_eq!(images.bits(0), 10);
+        assert_eq!(images.entries(0).len(), 2);
+        assert!(images.is_active(0));
+        assert_eq!(images.bits(1), 0);
+        assert!(!images.is_active(1));
+        assert_eq!(images.bits(2), 7);
+        images.clear_machine(0);
+        assert_eq!(images.bits(0), 0);
+        assert!(!images.is_active(0));
+        assert!(images.is_active(2));
+        images.clear();
+        assert!(!images.is_active(2));
+        assert_eq!(images.bits(2), 0);
     }
 
     #[test]

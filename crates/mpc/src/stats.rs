@@ -36,6 +36,24 @@ pub struct RoundStats {
     pub active_machines: usize,
 }
 
+impl RoundStats {
+    /// Folds another shard's record of the same round into this one:
+    /// sums for messages, bits, queries and active machines, maxima for
+    /// the two peaks. The fold is commutative and associative, so a
+    /// supervisor merging its shards' records in any order reassembles
+    /// the in-process round record exactly.
+    pub fn merge(&mut self, other: &RoundStats) {
+        debug_assert_eq!(self.round, other.round, "merging records of different rounds");
+        self.messages += other.messages;
+        self.bits_sent += other.bits_sent;
+        self.oracle_queries += other.oracle_queries;
+        self.max_queries_one_machine =
+            self.max_queries_one_machine.max(other.max_queries_one_machine);
+        self.max_memory_bits = self.max_memory_bits.max(other.max_memory_bits);
+        self.active_machines += other.active_machines;
+    }
+}
+
 /// Statistics across a whole run.
 ///
 /// ```
@@ -127,6 +145,30 @@ mod tests {
         assert_eq!(stats.total_queries(), 7);
         assert_eq!(stats.peak_memory_bits(), 80);
         assert_eq!(stats.peak_queries(), 4);
+    }
+
+    #[test]
+    fn merge_sums_counts_and_keeps_peaks() {
+        let shard = |messages, queries, peak_q, memory, active| RoundStats {
+            round: 4,
+            messages,
+            bits_sent: 10 * messages,
+            oracle_queries: queries,
+            max_queries_one_machine: peak_q,
+            max_memory_bits: memory,
+            active_machines: active,
+        };
+        let (a, b, c) = (shard(3, 5, 4, 60, 2), shard(1, 2, 2, 80, 1), shard(0, 0, 0, 0, 0));
+        let mut merged = RoundStats { round: 4, ..RoundStats::default() };
+        for part in [&a, &b, &c] {
+            merged.merge(part);
+        }
+        assert_eq!(merged, shard(4, 7, 4, 80, 3));
+        // Order-independent: folding the other way round agrees.
+        let mut reversed = c.clone();
+        reversed.merge(&b);
+        reversed.merge(&a);
+        assert_eq!(reversed, merged);
     }
 
     #[test]

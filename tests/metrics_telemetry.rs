@@ -7,6 +7,7 @@ use mpc_hardness::core::algorithms::pipeline::{Pipeline, Target};
 use mpc_hardness::core::algorithms::BlockAssignment;
 use mpc_hardness::core::theorem;
 use mpc_hardness::metrics::{Event, MetricsSink, QueryKind, Recorder};
+use mpc_hardness::mpc::partition_shards;
 use mpc_hardness::prelude::*;
 use std::sync::Arc;
 
@@ -56,6 +57,65 @@ fn event_sums_reconstruct_sim_stats() {
     // The per-message MessageRouted stream agrees with the round sums.
     assert_eq!(snap.totals.messages_routed, snap.totals.messages);
     assert_eq!(snap.totals.routed_bits, snap.totals.bits_sent);
+}
+
+/// The shard path emits the in-process event stream: driving the demo
+/// pipeline shard by shard through `step_shard` (1, 2 and 3 shards, every
+/// shard's simulation reporting into one shared `Recorder`) yields the
+/// in-process run's snapshot JSON byte for byte. Each shard's `RoundEnd`
+/// carries its shard-local record, and the recorder's per-round fold
+/// reassembles the global one.
+#[test]
+fn sharded_rounds_emit_the_in_process_telemetry() {
+    let pipeline = demo_pipeline();
+    let (oracle, blocks) = theorem::draw_instance(pipeline.params(), 3);
+    let oracle = oracle as Arc<dyn Oracle>;
+    let build = |recorder: &Arc<Recorder>| {
+        let mut sim = pipeline.build_simulation(
+            Arc::clone(&oracle),
+            RandomTape::new(3),
+            pipeline.required_s(),
+            None,
+            &blocks,
+        );
+        sim.set_metrics(recorder.clone());
+        sim
+    };
+    let recorder = Arc::new(Recorder::new());
+    let mut reference = build(&recorder);
+    let m = reference.m();
+    let expected = reference.run_until_output(10_000).unwrap();
+    assert!(expected.completed());
+    let in_process = recorder.snapshot().to_json_string();
+
+    for shards in 1..=3 {
+        let recorder = Arc::new(Recorder::new());
+        let bounds = partition_shards(m, shards);
+        let mut sims: Vec<Simulation> = bounds
+            .iter()
+            .map(|&(lo, hi)| {
+                let mut sim = build(&recorder);
+                sim.retain_shard(lo, hi);
+                sim
+            })
+            .collect();
+        let mut batches: Vec<Vec<Message>> = vec![Vec::new(); shards];
+        let mut outputs = Vec::new();
+        for _ in 0..expected.rounds() {
+            let mut sent = Vec::new();
+            for ((sim, &(lo, hi)), batch) in sims.iter_mut().zip(&bounds).zip(&mut batches) {
+                sim.inject_messages(&std::mem::take(batch)).unwrap();
+                let out = sim.step_shard(lo, hi).unwrap();
+                sent.extend(out.messages);
+                outputs.extend(out.outputs);
+            }
+            for msg in sent {
+                batches[bounds.partition_point(|&(_, hi)| hi <= msg.to)].push(msg);
+            }
+        }
+        assert_eq!(outputs, expected.outputs, "{shards} shard(s)");
+        assert_eq!(recorder.snapshot().to_json_string(), in_process, "{shards} shard(s)");
+    }
 }
 
 /// The same multiset of events yields byte-identical snapshot JSON no
