@@ -1,9 +1,9 @@
 //! Wall-clock benchmark of the oracle/routing hot path, written to
 //! `BENCH_mpc.json` at the repository root.
 //!
-//! Three workloads, timed with `std::time::Instant` (best of several
-//! repetitions — the compat criterion shim prints means but exports
-//! nothing, so the committed artifact is produced here):
+//! Nine workloads, timed with `std::time::Instant` (best of several
+//! repetitions), each asserting that its fast path is byte-identical to
+//! its reference path:
 //!
 //! 1. **`oracle_repeated_queries`** — `distinct` random inputs asked
 //!    `repeats` times each, bare [`LazyOracle`] vs [`CachedOracle`] vs

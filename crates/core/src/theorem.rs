@@ -252,18 +252,15 @@ pub struct RetryPolicy {
     /// of 0 is normalized to 1 at use ([`RetryPolicy::effective_attempts`])
     /// — at least one attempt always runs.
     pub max_attempts: usize,
-    /// Sleep inserted between consecutive attempts (purely a pacing
-    /// knob; it never affects measured results).
-    pub base_delay: Duration,
     /// Per-attempt wall-clock deadline. `None` disables the watchdog.
     pub deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
-    /// One attempt, no delay, no deadline — exactly the behaviour of the
+    /// One attempt, no deadline — exactly the behaviour of the
     /// policy-free harness entry points.
     fn default() -> Self {
-        RetryPolicy { max_attempts: 1, base_delay: Duration::ZERO, deadline: None }
+        RetryPolicy { max_attempts: 1, deadline: None }
     }
 }
 
@@ -431,9 +428,6 @@ impl TrialRunner {
             let attempts = attempt as usize + 1;
             if measurement.correct || attempts >= max_attempts {
                 return TrialOutcome { measurement, attempts, timed_out };
-            }
-            if !policy.base_delay.is_zero() {
-                std::thread::sleep(policy.base_delay);
             }
             attempt += 1;
         }

@@ -236,19 +236,15 @@ pub const MIN_RESPAWNS: usize = 3;
 /// Derives a [`SupervisorConfig`] from the shared [`RetryPolicy`]: the
 /// per-reply deadline is the policy deadline (with
 /// [`DEFAULT_ROUND_DEADLINE`] as the hang backstop), the respawn budget
-/// is the larger of the policy's retry count and [`MIN_RESPAWNS`], and a
-/// nonzero policy base delay becomes the respawn backoff base.
+/// is the larger of the policy's retry count and [`MIN_RESPAWNS`].
 pub fn supervisor_config(
     shards: usize,
     policy: &RetryPolicy,
     worker_cmd: Vec<String>,
 ) -> SupervisorConfig {
     let mut cfg = SupervisorConfig::new(shards, worker_cmd);
-    cfg.round_deadline = Some(policy.deadline.unwrap_or(DEFAULT_ROUND_DEADLINE));
+    cfg.round_deadline = policy.deadline.unwrap_or(DEFAULT_ROUND_DEADLINE);
     cfg.max_respawns = (policy.effective_attempts() - 1).max(MIN_RESPAWNS);
-    if !policy.base_delay.is_zero() {
-        cfg.backoff_base = policy.base_delay;
-    }
     cfg
 }
 
@@ -538,11 +534,11 @@ mod tests {
     #[test]
     fn supervisor_config_honors_policy_and_floors() {
         let cfg = supervisor_config(4, &RetryPolicy::default(), vec!["w".into()]);
-        assert_eq!(cfg.round_deadline, Some(DEFAULT_ROUND_DEADLINE));
+        assert_eq!(cfg.round_deadline, DEFAULT_ROUND_DEADLINE);
         assert_eq!(cfg.max_respawns, MIN_RESPAWNS);
         let policy = RetryPolicy::for_retries(9).with_deadline(Duration::from_secs(5));
         let cfg = supervisor_config(2, &policy, vec!["w".into()]);
-        assert_eq!(cfg.round_deadline, Some(Duration::from_secs(5)));
+        assert_eq!(cfg.round_deadline, Duration::from_secs(5));
         assert_eq!(cfg.max_respawns, 9);
     }
 }

@@ -157,7 +157,7 @@ fn tcp_with_random_chaos_rates_recovers_byte_identically() {
     let s = spec(106);
     let expected = theorem::measure_rounds(&s.pipeline(), s.seed, s.s_bits, s.q, 10_000);
     let mut cfg = tcp_config(3);
-    cfg.round_deadline = Some(Duration::from_secs(3));
+    cfg.round_deadline = Duration::from_secs(3);
     cfg.max_respawns = 50;
     cfg.chaos = Some(ChaosSpec {
         seed: 0xC4A05,
@@ -202,7 +202,7 @@ fn every_single_frame_fault_recovers_byte_identically() {
         };
         for kind in kinds {
             let mut cfg = tcp_config(2);
-            cfg.round_deadline = Some(Duration::from_secs(2));
+            cfg.round_deadline = Duration::from_secs(2);
             cfg.chaos = Some(ChaosSpec {
                 force: vec![ForcedFault { worker: 1, direction, frame_index, kind }],
                 ..ChaosSpec::default()

@@ -19,27 +19,18 @@ thread_local! {
     static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Per-round aggregate, merged commutatively across shards.
-#[derive(Debug, Default, Clone, Copy)]
-struct RoundAgg {
-    messages: u64,
-    bits_sent: u64,
-    oracle_queries: u64,
-    max_queries_one_machine: u64,
-    max_memory_bits: u64,
-    active_machines: u64,
-}
-
-impl RoundAgg {
-    fn merge(&mut self, other: &RoundAgg) {
-        self.messages += other.messages;
-        self.bits_sent += other.bits_sent;
-        self.oracle_queries += other.oracle_queries;
-        self.max_queries_one_machine =
-            self.max_queries_one_machine.max(other.max_queries_one_machine);
-        self.max_memory_bits = self.max_memory_bits.max(other.max_memory_bits);
-        self.active_machines += other.active_machines;
-    }
+/// Folds one round record into `rounds` under its round index: sums,
+/// and maxima for the two per-machine peaks — commutative, so the order
+/// in which shards fold never shows.
+fn fold_round(rounds: &mut BTreeMap<u64, RoundSnapshot>, r: &RoundSnapshot) {
+    let acc = rounds.entry(r.round).or_default();
+    acc.round = r.round;
+    acc.messages += r.messages;
+    acc.bits_sent += r.bits_sent;
+    acc.oracle_queries += r.oracle_queries;
+    acc.max_queries_one_machine = acc.max_queries_one_machine.max(r.max_queries_one_machine);
+    acc.max_memory_bits = acc.max_memory_bits.max(r.max_memory_bits);
+    acc.active_machines += r.active_machines;
 }
 
 /// One shard's accumulated state. Every field is a sum, a max, or a
@@ -47,7 +38,7 @@ impl RoundAgg {
 /// order yields the same totals.
 #[derive(Debug, Default)]
 struct Shard {
-    rounds: BTreeMap<u64, RoundAgg>,
+    rounds: BTreeMap<u64, RoundSnapshot>,
     fresh: u64,
     cached: u64,
     patched: u64,
@@ -74,16 +65,18 @@ impl Shard {
                 max_queries_one_machine,
                 max_memory_bits,
                 active_machines,
-            } => {
-                self.rounds.entry(round).or_default().merge(&RoundAgg {
+            } => fold_round(
+                &mut self.rounds,
+                &RoundSnapshot {
+                    round,
                     messages,
                     bits_sent,
                     oracle_queries,
                     max_queries_one_machine,
                     max_memory_bits,
                     active_machines,
-                });
-            }
+                },
+            ),
             Event::OracleQuery { kind } => match kind {
                 QueryKind::Fresh => self.fresh += 1,
                 QueryKind::Cached => self.cached += 1,
@@ -178,8 +171,8 @@ impl Recorder {
         let mut merged = Shard::default();
         for shard in &self.shards {
             let s = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (round, agg) in &s.rounds {
-                merged.rounds.entry(*round).or_default().merge(agg);
+            for r in s.rounds.values() {
+                fold_round(&mut merged.rounds, r);
             }
             merged.fresh += s.fresh;
             merged.cached += s.cached;
@@ -201,19 +194,7 @@ impl Recorder {
             }
         }
 
-        let rounds: Vec<RoundSnapshot> = merged
-            .rounds
-            .iter()
-            .map(|(round, agg)| RoundSnapshot {
-                round: *round,
-                messages: agg.messages,
-                bits_sent: agg.bits_sent,
-                oracle_queries: agg.oracle_queries,
-                max_queries_one_machine: agg.max_queries_one_machine,
-                max_memory_bits: agg.max_memory_bits,
-                active_machines: agg.active_machines,
-            })
-            .collect();
+        let rounds: Vec<RoundSnapshot> = merged.rounds.into_values().collect();
 
         let totals = Totals {
             rounds: rounds.len() as u64,

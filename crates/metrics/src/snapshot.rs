@@ -6,7 +6,7 @@ use crate::json::Json;
 use std::collections::BTreeMap;
 
 /// Aggregates for one MPC round, mirroring `mph_mpc::stats::RoundStats`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RoundSnapshot {
     /// Round index (from 0).
     pub round: u64,

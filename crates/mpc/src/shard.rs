@@ -76,13 +76,12 @@
 //! channel; worker death surfaces as channel disconnect (stream EOF or
 //! a frame that fails to decode), a round-deadline timeout, or a broken
 //! write — all funnel into one path: SIGKILL + reap the old process,
-//! wait out an exponential backoff ([`SupervisorConfig::backoff_base`] /
-//! [`SupervisorConfig::backoff_cap`]), respawn (bounded by
+//! wait out an exponential backoff (25 ms, doubling per consecutive
+//! respawn of the same worker, capped at 2 s), respawn (bounded by
 //! [`SupervisorConfig::max_respawns`]), replay `SHARD_HELLO` → restore
 //! the last barrier `SHARD_SNAPSHOT` → resend the in-flight round's
 //! batch. While waiting for a reply the supervisor probes the worker
-//! with `HEARTBEAT` frames every
-//! [`SupervisorConfig::heartbeat_interval`]; any frame (echo or reply)
+//! with `HEARTBEAT` frames every 200 ms; any frame (echo or reply)
 //! refreshes the worker's liveness, and the round deadline is measured
 //! from the **last sign of life** — a stalled or SIGSTOPped worker
 //! stops echoing and is declared dead once the deadline passes. Because
@@ -477,8 +476,8 @@ pub struct KillSpec {
 
 /// Configuration of a supervised sharded run. Build with
 /// [`SupervisorConfig::new`] and override fields as needed — the
-/// defaults are a pipe transport, no chaos, a 60 s round deadline, a
-/// 200 ms heartbeat, 3 respawns, and a 25 ms-base / 2 s-cap backoff.
+/// defaults are a pipe transport, no chaos, a 60 s round deadline and
+/// 3 respawns.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
     /// Number of worker processes (= shards). Must be `1..=m`.
@@ -492,21 +491,11 @@ pub struct SupervisorConfig {
     /// Per-reply deadline, measured from the worker's **last sign of
     /// life** (any frame, heartbeat echoes included). A worker that
     /// neither answers nor echoes within it is declared crashed and
-    /// recovered. `None` waits indefinitely (EOF still detects real
-    /// deaths immediately).
-    pub round_deadline: Option<Duration>,
-    /// How often to probe a silent worker with a `HEARTBEAT` frame while
-    /// waiting on it. `None` disables probing (liveness then rests on
-    /// the deadline and EOF alone).
-    pub heartbeat_interval: Option<Duration>,
+    /// recovered. A TCP worker must also connect within it.
+    pub round_deadline: Duration,
     /// How many times a single worker may be respawned over the whole
     /// run before the supervisor walks the degradation ladder.
     pub max_respawns: usize,
-    /// First respawn backoff delay; doubles per consecutive respawn of
-    /// the same worker.
-    pub backoff_base: Duration,
-    /// Upper bound on the exponential backoff delay.
-    pub backoff_cap: Duration,
     /// Seeded kill schedule, applied with real SIGKILLs.
     pub kills: Vec<KillSpec>,
     /// The worker process argv (`worker_cmd[0]` is the executable). The
@@ -522,11 +511,8 @@ impl SupervisorConfig {
             shards,
             transport: TransportKind::Pipe,
             chaos: None,
-            round_deadline: Some(Duration::from_secs(60)),
-            heartbeat_interval: Some(Duration::from_millis(200)),
+            round_deadline: Duration::from_secs(60),
             max_respawns: 3,
-            backoff_base: Duration::from_millis(25),
-            backoff_cap: Duration::from_secs(2),
             kills: Vec::new(),
             worker_cmd,
         }
@@ -747,38 +733,15 @@ impl WorkerHandle {
     /// the heartbeat interval and measuring the deadline from its last
     /// sign of life. `Err` means the worker is dead or hung — the crash
     /// signal.
-    fn recv_live(
-        &mut self,
-        deadline: Option<Duration>,
-        hb: Option<Duration>,
-    ) -> (Result<Frame, String>, Liveness) {
+    fn recv_live(&mut self, deadline: Duration) -> (Result<Frame, String>, Liveness) {
         let mut live = Liveness::default();
         let mut last_alive = Instant::now();
         loop {
-            let remaining = match deadline {
-                Some(limit) => {
-                    let elapsed = last_alive.elapsed();
-                    if elapsed >= limit {
-                        return (Err(format!("round deadline {limit:?} exceeded")), live);
-                    }
-                    Some(limit - elapsed)
-                }
-                None => None,
-            };
-            let slice = match (hb, remaining) {
-                (Some(h), Some(r)) => h.min(r),
-                (Some(h), None) => h,
-                (None, Some(r)) => r,
-                (None, None) => {
-                    // No deadline, no probing: plain blocking receive.
-                    return match self.rx.recv() {
-                        Ok(Frame::Heartbeat { .. }) => continue,
-                        Ok(frame) => (Ok(frame), live),
-                        Err(_) => (Err("stream EOF".into()), live),
-                    };
-                }
-            };
-            match self.rx.recv_timeout(slice) {
+            let elapsed = last_alive.elapsed();
+            if elapsed >= deadline {
+                return (Err(format!("round deadline {deadline:?} exceeded")), live);
+            }
+            match self.rx.recv_timeout(HEARTBEAT_INTERVAL.min(deadline - elapsed)) {
                 Ok(Frame::Heartbeat { .. }) => {
                     // An echo: the worker is alive even if its reply is
                     // slow. Refresh the deadline.
@@ -787,14 +750,12 @@ impl WorkerHandle {
                 }
                 Ok(frame) => return (Ok(frame), live),
                 Err(RecvTimeoutError::Timeout) => {
-                    if hb.is_some() {
-                        self.hb_seq += 1;
-                        let probe = Frame::Heartbeat { seq: self.hb_seq };
-                        if let Err(e) = self.send(&probe) {
-                            return (Err(format!("heartbeat write failed: {e}")), live);
-                        }
-                        live.probes += 1;
+                    self.hb_seq += 1;
+                    let probe = Frame::Heartbeat { seq: self.hb_seq };
+                    if let Err(e) = self.send(&probe) {
+                        return (Err(format!("heartbeat write failed: {e}")), live);
                     }
+                    live.probes += 1;
                 }
                 Err(RecvTimeoutError::Disconnected) => return (Err("stream EOF".into()), live),
             }
@@ -833,10 +794,18 @@ fn fresh_nonce() -> u64 {
     splitmix64(((std::process::id() as u64) << 32) ^ c)
 }
 
+/// How often a silent worker is probed with a `HEARTBEAT` frame while
+/// the supervisor waits on it.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
+
+/// First respawn backoff delay; doubles per consecutive respawn of the
+/// same worker, up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
+
+/// Upper bound on the exponential respawn backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
 fn backoff_delay(base: Duration, cap: Duration, attempt: usize) -> Duration {
-    if base.is_zero() {
-        return Duration::ZERO;
-    }
     let factor = 1u32 << attempt.min(16) as u32;
     base.checked_mul(factor).unwrap_or(cap).min(cap)
 }
@@ -1021,7 +990,7 @@ impl Supervisor {
     /// a child that exits before connecting is a typed spawn failure.
     fn accept_worker(&self, child: &mut Child, index: usize) -> Result<TcpStream, ShardError> {
         let listener = self.listener.as_ref().expect("tcp transport has a listener");
-        let limit = self.cfg.round_deadline.unwrap_or(Duration::from_secs(10));
+        let limit = self.cfg.round_deadline;
         let start = Instant::now();
         loop {
             match listener.accept() {
@@ -1135,9 +1104,7 @@ impl Supervisor {
     /// Receives the next frame from a worker, emitting heartbeat
     /// telemetry for any probes sent and echoes consumed while waiting.
     fn recv_worker(&mut self, index: usize, round: usize) -> Result<Frame, String> {
-        let deadline = self.cfg.round_deadline;
-        let hb = self.cfg.heartbeat_interval;
-        let (res, live) = self.workers[index].recv_live(deadline, hb);
+        let (res, live) = self.workers[index].recv_live(self.cfg.round_deadline);
         for _ in 0..live.probes {
             self.worker_event("heartbeat", index, round);
         }
@@ -1211,10 +1178,7 @@ impl Supervisor {
             if attempt >= self.cfg.max_respawns {
                 return Err(ShardError::WorkerDied { worker: index, round, reason });
             }
-            let delay = backoff_delay(self.cfg.backoff_base, self.cfg.backoff_cap, attempt);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
+            std::thread::sleep(backoff_delay(BACKOFF_BASE, BACKOFF_CAP, attempt));
             let counters = self.workers[index].counters.clone();
             match self.spawn_worker(index, counters) {
                 Ok(mut fresh) => {

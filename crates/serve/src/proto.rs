@@ -139,11 +139,9 @@ pub struct GridSpec {
     /// Wire-chaos per-frame bit-corruption probability. All `chaos_*`
     /// rates require `shards > 1` and are execution knobs: whatever the
     /// chaos plane injects, recovery keeps the report byte-identical.
+    /// Truncation and disconnect faults are served only through the
+    /// library's [`ChaosSpec`].
     pub chaos_corrupt_rate: Option<f64>,
-    /// Wire-chaos per-frame truncation probability.
-    pub chaos_truncate_rate: Option<f64>,
-    /// Wire-chaos per-frame mid-frame-disconnect probability.
-    pub chaos_disconnect_rate: Option<f64>,
     /// Wire-chaos per-frame duplication probability.
     pub chaos_duplicate_rate: Option<f64>,
     /// Wire-chaos per-frame bounded-delay probability.
@@ -187,8 +185,6 @@ impl Default for GridSpec {
             retries: 0,
             transport: "pipe".into(),
             chaos_corrupt_rate: None,
-            chaos_truncate_rate: None,
-            chaos_disconnect_rate: None,
             chaos_duplicate_rate: None,
             chaos_delay_rate: None,
             chaos_seed: 0,
@@ -271,12 +267,50 @@ fn field_opt_u64(params: &Json, key: &str, max: u64) -> Result<Option<u64>, Prot
     }
 }
 
+/// Every key a `submit` request's `params` may carry, one per
+/// [`GridSpec`] field.
+const PARAM_KEYS: [&str; 28] = [
+    "exp",
+    "target",
+    "w",
+    "v",
+    "m",
+    "windows",
+    "trials",
+    "seed",
+    "max_rounds",
+    "s_bits",
+    "q",
+    "durable",
+    "checkpoint_every",
+    "shards",
+    "crash_rate",
+    "drop_rate",
+    "corrupt_rate",
+    "straggler_rate",
+    "fault_seed",
+    "retries",
+    "transport",
+    "chaos_corrupt_rate",
+    "chaos_duplicate_rate",
+    "chaos_delay_rate",
+    "chaos_seed",
+    "chaos_delay_ms",
+    "round_deadline_ms",
+    "respawns",
+];
+
 impl GridSpec {
     /// Validates the `params` object of a `submit` request. Absent fields
-    /// take the defaults above; present fields are range-checked.
+    /// take the defaults above; present fields are range-checked; any
+    /// other key is refused by name, so a misspelled knob cannot
+    /// silently run a default session.
     pub fn from_params(params: &Json) -> Result<GridSpec, ProtoError> {
-        if !matches!(params, Json::Object(_)) {
+        let Json::Object(pairs) = params else {
             return Err(ProtoError::bad("params must be an object"));
+        };
+        if let Some((key, _)) = pairs.iter().find(|(k, _)| !PARAM_KEYS.contains(&k.as_str())) {
+            return Err(ProtoError::bad(format!("unknown param {key:?}")));
         }
         let d = GridSpec::default();
         let exp = match get(params, "exp") {
@@ -403,19 +437,11 @@ impl GridSpec {
             },
         };
         let chaos_corrupt_rate = field_rate(params, "chaos_corrupt_rate")?;
-        let chaos_truncate_rate = field_rate(params, "chaos_truncate_rate")?;
-        let chaos_disconnect_rate = field_rate(params, "chaos_disconnect_rate")?;
         let chaos_duplicate_rate = field_rate(params, "chaos_duplicate_rate")?;
         let chaos_delay_rate = field_rate(params, "chaos_delay_rate")?;
-        let has_chaos = [
-            chaos_corrupt_rate,
-            chaos_truncate_rate,
-            chaos_disconnect_rate,
-            chaos_duplicate_rate,
-            chaos_delay_rate,
-        ]
-        .iter()
-        .any(Option::is_some);
+        let has_chaos = [chaos_corrupt_rate, chaos_duplicate_rate, chaos_delay_rate]
+            .iter()
+            .any(Option::is_some);
         if has_chaos && shards <= 1 {
             return Err(ProtoError::bad("chaos rates require shards > 1"));
         }
@@ -504,8 +530,6 @@ impl GridSpec {
             retries,
             transport,
             chaos_corrupt_rate,
-            chaos_truncate_rate,
-            chaos_disconnect_rate,
             chaos_duplicate_rate,
             chaos_delay_rate,
             chaos_seed,
@@ -536,15 +560,9 @@ impl GridSpec {
 
     /// Whether any wire-chaos rate is set.
     pub fn has_chaos(&self) -> bool {
-        [
-            self.chaos_corrupt_rate,
-            self.chaos_truncate_rate,
-            self.chaos_disconnect_rate,
-            self.chaos_duplicate_rate,
-            self.chaos_delay_rate,
-        ]
-        .iter()
-        .any(Option::is_some)
+        [self.chaos_corrupt_rate, self.chaos_duplicate_rate, self.chaos_delay_rate]
+            .iter()
+            .any(Option::is_some)
     }
 
     /// The deterministic wire-chaos plane, when any rate is set.
@@ -552,8 +570,6 @@ impl GridSpec {
         self.has_chaos().then(|| ChaosSpec {
             seed: self.chaos_seed,
             corrupt_rate: self.chaos_corrupt_rate.unwrap_or(0.0),
-            truncate_rate: self.chaos_truncate_rate.unwrap_or(0.0),
-            disconnect_rate: self.chaos_disconnect_rate.unwrap_or(0.0),
             duplicate_rate: self.chaos_duplicate_rate.unwrap_or(0.0),
             delay_rate: self.chaos_delay_rate.unwrap_or(0.0),
             max_delay: Duration::from_millis(self.chaos_delay_ms),
@@ -836,6 +852,14 @@ mod tests {
             ),
             (r#"{"id":"a","method":"submit","params":{"respawns":3}}"#, ErrorCode::BadRequest),
             (
+                r#"{"id":"a","method":"submit","params":{"shards":2,"chaos_corupt_rate":0.5}}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
+                r#"{"id":"a","method":"submit","params":{"shards":2,"chaos_truncate_rate":0.1}}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
                 r#"{"id":"a","method":"submit","params":{"shards":2,"respawns":65}}"#,
                 ErrorCode::BadRequest,
             ),
@@ -848,6 +872,13 @@ mod tests {
                 Ok(req) => panic!("{line} should be rejected, parsed {req:?}"),
             }
         }
+    }
+
+    #[test]
+    fn unknown_params_are_refused_by_name() {
+        let line = r#"{"id":"a","method":"submit","params":{"shards":2,"chaos_corupt_rate":0.5}}"#;
+        let (_, e) = parse_request(line).unwrap_err();
+        assert_eq!(e.message, r#"unknown param "chaos_corupt_rate""#);
     }
 
     #[test]

@@ -140,7 +140,7 @@ pub fn shard_supervisor_config(spec: &GridSpec) -> SupervisorConfig {
     cfg.transport = spec.transport_kind();
     cfg.chaos = spec.chaos_spec();
     if let Some(ms) = spec.round_deadline_ms {
-        cfg.round_deadline = Some(std::time::Duration::from_millis(ms));
+        cfg.round_deadline = std::time::Duration::from_millis(ms);
     }
     if let Some(n) = spec.respawns {
         cfg.max_respawns = n;
