@@ -1,7 +1,7 @@
 //! Wall-clock benchmark of the oracle/routing hot path, written to
 //! `BENCH_mpc.json` at the repository root.
 //!
-//! Nine workloads, timed with `std::time::Instant` (best of several
+//! Five workloads, timed with `std::time::Instant` (best of several
 //! repetitions), each asserting that its fast path is byte-identical to
 //! its reference path:
 //!
@@ -11,79 +11,41 @@
 //!    (Lemma 3.3 makes the cache observationally invisible) and the
 //!    cached path must be ≥ 2× faster than the bare path, and the batched
 //!    path must not lose to it.
-//!
-//! 1b. **`oracle_batch_sweep`** — the same stream shape resolved through
+//! 2. **`oracle_batch_sweep`** — the same stream shape resolved through
 //!    `query_many` in chunks of {1, 8, 64, 512} queries, each against a
 //!    fresh cache (same hits/misses every time). The per-query nanosecond
 //!    figure isolates what grouping amortizes: one lock per shard per
 //!    batch instead of one per query.
-//!
-//! 2. **`relay_routing`** — an `m`-machine message ring run for many
+//! 3. **`relay_routing`** — an `m`-machine message ring run for many
 //!    rounds: pure executor routing (count pass, scratch inboxes,
 //!    move-not-clone) with trivial per-machine compute.
-//! 3. **`simline_pipeline`** — the E2-scale `SimLine` pipeline run on one
+//! 4. **`simline_pipeline`** — the E2-scale `SimLine` pipeline run on one
 //!    instance, repeated; bare oracle vs a shared [`CachedOracle`] that
 //!    stays warm across repetitions (the repeated-trial shape of the
 //!    experiment binaries). Outputs are checked byte-identical.
-//!
-//! 4. **`experiment_sweep`** — an E1-shaped parameter grid (several
-//!    windows × several trials) run through the sweep engine
-//!    ([`mph_experiments::sweep::run_sweep`]: one pool pass, per-chunk
-//!    simulation reuse, warm per-seed oracle cache) vs a shim of the
-//!    pre-sweep per-trial loop (fresh simulation, bare oracle, one cell
-//!    at a time). The two paths must agree measurement-for-measurement
-//!    (`byte_identical`); the record is trials/second for each.
-//!
 //! 5. **`fault_overhead`** — the relay ring with no fault plan vs an
 //!    installed all-zero-rate plan ([`FaultSpec::default`]). An inert
 //!    plan must be behaviorally invisible (identical message and bit
 //!    totals — `byte_identical`) and add no measurable routing overhead;
 //!    the full run asserts the timing ratio stays under 1.15×.
 //!
-//! 6. **`checkpoint_overhead`** — the same sweep engine bare
-//!    ([`mph_experiments::sweep::run_sweep`]) vs durably checkpointed at
-//!    the default cadence
-//!    ([`mph_experiments::checkpoint::run_sweep_checkpointed`], every
-//!    [`DEFAULT_EVERY`] cells, cold directory per repetition). Results
-//!    must match cell-for-cell — measurements, means, retries, telemetry
-//!    (`byte_identical`) — and the full run asserts the durability cost
-//!    stays under 1.05×.
-//!
-//! 7. **`sharded_pipeline`** — the same trials through the in-process
-//!    executor, the multi-process shard supervisor
-//!    ([`mph_experiments::shard`]: real worker processes over pipes),
-//!    and the supervisor with one SIGKILL per trial. Every sharded
-//!    measurement — clean and recovered — is asserted equal to the
-//!    in-process one (`byte_identical`); the record prices process
-//!    isolation and crash recovery.
-//!
-//! 8. **`net_shard`** — the shard transports head to head: the same
-//!    trials over the stdio pipe pair, over TCP loopback, and over TCP
-//!    with an inert all-zero-rate chaos plane
-//!    ([`mph_mpc::ChaosSpec`]) wrapping every link. All three must be
-//!    byte-identical to the in-process executor; the full run asserts
-//!    the inert chaos plane stays close to free and TCP stays within a
-//!    loose multiple of pipes (ns/round for each).
+//! Whole sweeps, checkpointed daemon sessions and supervised sharded
+//! trials are measured end to end, over repeated runs, by `perfbench/`
+//! (docs/PERFORMANCE.md). The report's top-level `threads` field records
+//! the pool width the figures were taken at.
 //!
 //! `--test` switches to tiny smoke sizes for CI: every correctness check
-//! still runs, the ≥ 2× speedup assertion is skipped (timings on
+//! still runs, the timing assertions are skipped (timings on
 //! micro-sizes are noise), and the report goes to
 //! `target/reports/bench_mpc_smoke.json` instead of the repo root.
 
 use mph_bits::{random_blocks, BitVec};
 use mph_core::algorithms::pipeline::{Pipeline, Target};
 use mph_core::algorithms::BlockAssignment;
-use mph_core::theorem::RoundMeasurement;
 use mph_core::{theorem, LineParams};
-use mph_experiments::checkpoint::{self, CheckpointConfig, DEFAULT_EVERY};
-use mph_experiments::shard::{self, measure_sharded, ShardSpec};
-use mph_experiments::sweep::{run_sweep, Cell};
 use mph_metrics::json::Json;
 use mph_metrics::report::{envelope, write_report_to};
-use mph_mpc::shard::KillSpec;
-use mph_mpc::{
-    ChaosSpec, FaultPlan, FaultSpec, Inbox, Outbox, RoundCtx, Simulation, TransportKind,
-};
+use mph_mpc::{FaultPlan, FaultSpec, Inbox, Outbox, RoundCtx, Simulation};
 use mph_oracle::{CachedOracle, LazyOracle, Oracle, RandomTape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,10 +82,6 @@ struct Sizes {
     pipe_m: usize,
     window: usize,
     pipe_runs: usize,
-    sweep_windows: &'static [usize],
-    sweep_trials: usize,
-    sweep_reps: usize,
-    shard_trials: usize,
 }
 
 impl Sizes {
@@ -140,11 +98,6 @@ impl Sizes {
             pipe_m: 8,
             window: 16,
             pipe_runs: 3,
-            // E1's memory sweep, minus its longest cell.
-            sweep_windows: &[8, 16, 32],
-            sweep_trials: 5,
-            sweep_reps: 2,
-            shard_trials: 3,
         }
     }
 
@@ -160,10 +113,6 @@ impl Sizes {
             pipe_m: 4,
             window: 8,
             pipe_runs: 2,
-            sweep_windows: &[4, 8],
-            sweep_trials: 2,
-            sweep_reps: 1,
-            shard_trials: 1,
         }
     }
 }
@@ -239,7 +188,7 @@ fn bench_oracle(sizes: &Sizes, strict: bool) -> (String, Json) {
     ("oracle_repeated_queries".into(), body)
 }
 
-/// Workload 1b: `query_many` at a sweep of batch sizes over one query
+/// Workload 2: `query_many` at a sweep of batch sizes over one query
 /// stream. Every run resolves the same stream against a fresh cache —
 /// same hits, same misses, same answers — so the per-query cost isolates
 /// exactly what batching amortizes: the budget/lock round trip per shard
@@ -293,7 +242,7 @@ fn bench_batch_sweep(sizes: &Sizes) -> (String, Json) {
     ("oracle_batch_sweep".into(), body)
 }
 
-/// The message-ring simulation workloads 2 and 5 route on: `m` machines,
+/// The message-ring simulation workloads 3 and 5 route on: `m` machines,
 /// each forwarding its whole inbox to its successor.
 fn build_relay(m: usize, payload_bits: usize) -> Simulation {
     let oracle: Arc<dyn Oracle> = Arc::new(LazyOracle::square(1, 16));
@@ -316,7 +265,7 @@ fn build_relay(m: usize, payload_bits: usize) -> Simulation {
     sim
 }
 
-/// Workload 2: the executor routing path under a message ring.
+/// Workload 3: the executor routing path under a message ring.
 fn bench_relay(sizes: &Sizes) -> (String, Json) {
     let payload_bits = 256usize;
 
@@ -360,7 +309,7 @@ fn bench_relay(sizes: &Sizes) -> (String, Json) {
     ("relay_routing".into(), body)
 }
 
-/// Workload 3: E2-scale `SimLine` pipeline, repeated runs of one instance.
+/// Workload 4: E2-scale `SimLine` pipeline, repeated runs of one instance.
 fn bench_simline(sizes: &Sizes, strict: bool) -> (String, Json) {
     let params = sizes.line;
     let pipeline = Pipeline::new(
@@ -420,106 +369,6 @@ fn bench_simline(sizes: &Sizes, strict: bool) -> (String, Json) {
     ("simline_pipeline".into(), body)
 }
 
-/// Workload 4: the sweep engine vs the pre-sweep per-trial loop, on an
-/// E1-shaped grid. Both paths compute the same `(cell, seed)` trials;
-/// the engine runs them in one pool pass with per-chunk simulation reuse
-/// and a warm per-seed oracle cache, the shim rebuilds everything per
-/// trial on a bare oracle — exactly what the experiment binaries did
-/// before the sweep engine existed.
-fn bench_sweep(sizes: &Sizes) -> (String, Json) {
-    let params = sizes.line;
-    let base_seed = 1000u64;
-    let max_rounds = 100_000;
-    let pipeline_for = |window| {
-        Pipeline::new(params, BlockAssignment::new(params.v, sizes.pipe_m, window), Target::SimLine)
-    };
-
-    let shim = || -> Vec<Vec<RoundMeasurement>> {
-        sizes
-            .sweep_windows
-            .iter()
-            .map(|&window| {
-                let pipeline = pipeline_for(window);
-                (0..sizes.sweep_trials as u64)
-                    .map(|t| {
-                        let seed = base_seed + t;
-                        let (oracle, blocks) = theorem::draw_instance(&params, seed);
-                        let expected = theorem::reference_output(&*pipeline, &*oracle, &blocks);
-                        let mut sim = pipeline.build_simulation(
-                            oracle as Arc<dyn Oracle>,
-                            RandomTape::new(seed),
-                            pipeline.required_s(),
-                            None,
-                            &blocks,
-                        );
-                        let result = sim.run_until_output(max_rounds).unwrap();
-                        let correct = result.completed() && result.sole_output() == Some(&expected);
-                        RoundMeasurement {
-                            rounds: result.rounds(),
-                            completed: result.completed(),
-                            correct,
-                            total_queries: result.stats.total_queries(),
-                            peak_memory_bits: result.stats.peak_memory_bits(),
-                            total_comm_bits: result.stats.total_bits(),
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    let cells = || -> Vec<Cell> {
-        sizes
-            .sweep_windows
-            .iter()
-            .map(|&window| {
-                let mut cell = Cell::new(
-                    format!("window={window}"),
-                    pipeline_for(window),
-                    sizes.sweep_trials,
-                    base_seed,
-                    max_rounds,
-                );
-                cell.telemetry = false; // the shim records none either
-                cell
-            })
-            .collect()
-    };
-
-    let (shim_ns, shim_results) = time_ns(sizes.sweep_reps, shim);
-    let (sweep_ns, sweep_results) = time_ns(sizes.sweep_reps, || run_sweep(cells()));
-    let sweep_measurements: Vec<Vec<RoundMeasurement>> =
-        sweep_results.into_iter().map(|r| r.measurements).collect();
-    assert_eq!(
-        shim_results, sweep_measurements,
-        "sweep engine must reproduce the per-trial loop measurement-for-measurement"
-    );
-
-    let total_trials = (sizes.sweep_windows.len() * sizes.sweep_trials) as f64;
-    let shim_tps = total_trials / (shim_ns as f64 / 1e9);
-    let sweep_tps = total_trials / (sweep_ns as f64 / 1e9);
-    let sweep_speedup = speedup(shim_ns, sweep_ns);
-    println!(
-        "experiment_sweep: {} cells x {} trials on {} thread(s): seed shim {shim_tps:.2} \
-         trials/s, sweep engine {sweep_tps:.2} trials/s ({sweep_speedup:.2}x)",
-        sizes.sweep_windows.len(),
-        sizes.sweep_trials,
-        rayon::current_num_threads()
-    );
-
-    let body = Json::object(vec![
-        ("grid_cells", Json::u64(sizes.sweep_windows.len() as u64)),
-        ("trials_per_cell", Json::u64(sizes.sweep_trials as u64)),
-        ("threads", Json::u64(rayon::current_num_threads() as u64)),
-        ("seed_shim_ns", Json::u64(shim_ns)),
-        ("sweep_ns", Json::u64(sweep_ns)),
-        ("seed_shim_trials_per_sec", Json::f64(shim_tps)),
-        ("sweep_trials_per_sec", Json::f64(sweep_tps)),
-        ("sweep_speedup", Json::f64(sweep_speedup)),
-        ("byte_identical", Json::Bool(true)),
-    ]);
-    ("experiment_sweep".into(), body)
-}
-
 /// Workload 5: the relay ring with no fault plan vs an installed inert
 /// (all-zero-rate) plan. The executor must skip fault bookkeeping
 /// entirely for inert plans, so the two runs route identically and cost
@@ -563,265 +412,6 @@ fn bench_fault_overhead(sizes: &Sizes, strict: bool) -> (String, Json) {
     ("fault_overhead".into(), body)
 }
 
-/// Workload 6: the sweep engine bare vs checkpointed at the default
-/// cadence. Durability is bookkeeping — a handful of small binary
-/// frames per flush — so it must neither perturb the results (the
-/// checkpointed path is checked cell-for-cell against the plain one)
-/// nor cost measurable throughput.
-fn bench_checkpoint(sizes: &Sizes, strict: bool) -> (String, Json) {
-    let params = sizes.line;
-    let base_seed = 2000u64;
-    let max_rounds = 100_000;
-    // Two seed halves per window: enough cells that the default cadence
-    // flushes more than once in the full run.
-    let cells = || -> Vec<Cell> {
-        sizes
-            .sweep_windows
-            .iter()
-            .flat_map(|&window| {
-                (0..2u64).map(move |half| {
-                    Cell::new(
-                        format!("window={window}/half={half}"),
-                        Pipeline::new(
-                            params,
-                            BlockAssignment::new(params.v, sizes.pipe_m, window),
-                            Target::SimLine,
-                        ),
-                        sizes.sweep_trials,
-                        base_seed + 100 * half,
-                        max_rounds,
-                    )
-                })
-            })
-            .collect()
-    };
-    let grid_cells = cells().len();
-    let ckpt = CheckpointConfig::for_exp("bench_checkpoint", DEFAULT_EVERY);
-
-    let (plain_ns, plain) = time_ns(sizes.sweep_reps, || run_sweep(cells()));
-    // Every repetition pays the full durability bill: a cold directory,
-    // every flush, every manifest rewrite.
-    let (ckpt_ns, checkpointed) = time_ns(sizes.sweep_reps, || {
-        checkpoint::clean_dir(&ckpt.dir);
-        checkpoint::run_sweep_checkpointed(cells(), &ckpt)
-    });
-
-    assert_eq!(plain.len(), checkpointed.len(), "cell count must match");
-    for (a, b) in plain.iter().zip(&checkpointed) {
-        assert_eq!(a.label, b.label, "cell order must match");
-        assert_eq!(a.measurements, b.measurements, "checkpointing must not change measurements");
-        assert_eq!(
-            a.mean_rounds.to_bits(),
-            b.mean_rounds.to_bits(),
-            "means must match bit-exactly"
-        );
-        assert_eq!(a.retries_used, b.retries_used, "retry accounting must match");
-        assert_eq!(
-            a.snapshot.as_ref().map(|s| s.to_json().to_string()),
-            b.snapshot.as_ref().map(|s| s.to_json().to_string()),
-            "checkpointing must not change telemetry"
-        );
-    }
-    let overhead = ckpt_ns as f64 / plain_ns.max(1) as f64;
-    if strict {
-        // The durability bill (cold checkpoint directory, per-flush fsync,
-        // manifest rewrites) is a fixed absolute cost, so its *ratio* to
-        // the bare sweep scales inversely with compute speed. The original
-        // 5% budget was calibrated against the copying message plane;
-        // zero-copy delivery roughly halved per-trial compute, and window
-        // bundling (one persistence message per machine-round instead of
-        // one per block) shrank it again, so the same absolute bill is now
-        // a quarter-plus of a trial's wall time on a busy disk. 50% still
-        // catches regressions of kind — an accidental per-trial flush
-        // blows far past it — without re-tripping every time the
-        // simulator gets faster.
-        assert!(
-            overhead <= 1.5,
-            "checkpointing every {DEFAULT_EVERY} cells costs {overhead:.3}x — above the 50% budget"
-        );
-    }
-    println!(
-        "checkpoint_overhead: {grid_cells} cells x {} trials: bare {plain_ns} ns, \
-         checkpointed {ckpt_ns} ns ({overhead:.3}x)",
-        sizes.sweep_trials
-    );
-
-    let body = Json::object(vec![
-        ("grid_cells", Json::u64(grid_cells as u64)),
-        ("trials_per_cell", Json::u64(sizes.sweep_trials as u64)),
-        ("checkpoint_every", Json::u64(DEFAULT_EVERY as u64)),
-        ("bare_ns", Json::u64(plain_ns)),
-        ("checkpointed_ns", Json::u64(ckpt_ns)),
-        ("checkpoint_overhead", Json::f64(overhead)),
-        ("byte_identical", Json::Bool(true)),
-    ]);
-    ("checkpoint_overhead".into(), body)
-}
-
-/// Workload 7: the multi-process shard supervisor vs the in-process
-/// executor — the same trials, three ways. Clean sharded runs price pure
-/// process isolation (spawn + handshake + per-round pipe framing); the
-/// killed runs add one SIGKILL per trial, so their delta over clean is
-/// the detect → respawn → replay recovery bill. All three paths must
-/// produce equal [`RoundMeasurement`]s — the supervisor contract
-/// (docs/ROBUSTNESS.md).
-fn bench_sharded(sizes: &Sizes) -> (String, Json) {
-    let shards = 4;
-    let base_seed = 3000u64;
-    let max_rounds = 10_000;
-    let spec = |seed: u64| ShardSpec {
-        target: Target::SimLine,
-        w: 48,
-        v: 8,
-        m: 7,
-        window: 2,
-        s_bits: None,
-        q: None,
-        seed,
-    };
-    let policy = theorem::RetryPolicy::for_retries(0);
-    let cfg = shard::supervisor_config(shards, &policy, shard::default_worker_cmd());
-
-    let pipeline = spec(base_seed).pipeline();
-    let (local_ns, reference) = time_ns(1, || -> Vec<RoundMeasurement> {
-        (0..sizes.shard_trials as u64)
-            .map(|t| theorem::measure_rounds(&pipeline, base_seed + t, None, None, max_rounds))
-            .collect()
-    });
-    assert!(reference.iter().all(|m| m.correct), "reference trials must be healthy");
-
-    let (clean_ns, clean) = time_ns(1, || -> Vec<RoundMeasurement> {
-        (0..sizes.shard_trials as u64)
-            .map(|t| {
-                measure_sharded(&spec(base_seed + t), &cfg, max_rounds, None)
-                    .expect("clean sharded trial")
-            })
-            .collect()
-    });
-    assert_eq!(clean, reference, "sharded transcripts must match the in-process executor");
-
-    let (killed_ns, killed) = time_ns(1, || -> Vec<RoundMeasurement> {
-        (0..sizes.shard_trials as u64)
-            .map(|t| {
-                let mut cfg = cfg.clone();
-                cfg.kills =
-                    vec![KillSpec { round: 1 + t as usize % 2, worker: t as usize % shards }];
-                measure_sharded(&spec(base_seed + t), &cfg, max_rounds, None)
-                    .expect("recovered sharded trial")
-            })
-            .collect()
-    });
-    assert_eq!(killed, reference, "recovery must be byte-identical to the in-process executor");
-
-    let isolation = clean_ns as f64 / local_ns.max(1) as f64;
-    let recovery_ns = killed_ns.saturating_sub(clean_ns);
-    println!(
-        "sharded_pipeline: {} trials on {shards} workers: in-process {local_ns} ns, sharded \
-         {clean_ns} ns ({isolation:.2}x), with 1 SIGKILL/trial {killed_ns} ns (+{recovery_ns} ns)",
-        sizes.shard_trials
-    );
-
-    let body = Json::object(vec![
-        ("shards", Json::u64(shards as u64)),
-        ("machines", Json::u64(7)),
-        ("trials", Json::u64(sizes.shard_trials as u64)),
-        ("kills_per_trial", Json::u64(1)),
-        ("in_process_ns", Json::u64(local_ns)),
-        ("sharded_ns", Json::u64(clean_ns)),
-        ("killed_ns", Json::u64(killed_ns)),
-        ("isolation_overhead", Json::f64(isolation)),
-        ("recovery_ns", Json::u64(recovery_ns)),
-        ("byte_identical", Json::Bool(true)),
-    ]);
-    ("sharded_pipeline".into(), body)
-}
-
-/// Workload 8: the shard transports priced per round — the same trials
-/// over the pipe pair, over TCP loopback, and over TCP with an inert
-/// (all-zero-rate) chaos plane installed on every link. All three must
-/// measure byte-identically to the in-process executor; the full run
-/// additionally asserts the inert chaos plane is close to free on top of
-/// TCP and the TCP link itself stays within a loose multiple of pipes
-/// (loopback adds syscalls, not semantics).
-fn bench_net_shard(sizes: &Sizes, strict: bool) -> (String, Json) {
-    let shards = 4;
-    let base_seed = 4000u64;
-    let max_rounds = 10_000;
-    let spec = |seed: u64| ShardSpec {
-        target: Target::SimLine,
-        w: 48,
-        v: 8,
-        m: 7,
-        window: 2,
-        s_bits: None,
-        q: None,
-        seed,
-    };
-    let policy = theorem::RetryPolicy::for_retries(0);
-    let cfg = shard::supervisor_config(shards, &policy, shard::default_worker_cmd());
-
-    let pipeline = spec(base_seed).pipeline();
-    let reference: Vec<RoundMeasurement> = (0..sizes.shard_trials as u64)
-        .map(|t| theorem::measure_rounds(&pipeline, base_seed + t, None, None, max_rounds))
-        .collect();
-    assert!(reference.iter().all(|m| m.correct), "reference trials must be healthy");
-    let total_rounds: u64 = reference.iter().map(|m| m.rounds as u64).sum();
-
-    let run = |cfg: &_| -> Vec<RoundMeasurement> {
-        (0..sizes.shard_trials as u64)
-            .map(|t| {
-                measure_sharded(&spec(base_seed + t), cfg, max_rounds, None).expect("sharded trial")
-            })
-            .collect()
-    };
-    let (pipe_ns, piped) = time_ns(1, || run(&cfg));
-    assert_eq!(piped, reference, "pipe transport must match the in-process executor");
-
-    let mut tcp_cfg = cfg.clone();
-    tcp_cfg.transport = TransportKind::Tcp;
-    let (tcp_ns, tcped) = time_ns(1, || run(&tcp_cfg));
-    assert_eq!(tcped, reference, "TCP transport must match the in-process executor");
-
-    let mut inert_cfg = tcp_cfg.clone();
-    inert_cfg.chaos = Some(ChaosSpec { seed: 42, ..ChaosSpec::default() });
-    let (inert_ns, inert) = time_ns(1, || run(&inert_cfg));
-    assert_eq!(inert, reference, "inert chaos must be byte-invisible");
-
-    let per_round = |ns: u64| ns / total_rounds.max(1);
-    let tcp_overhead = tcp_ns as f64 / pipe_ns.max(1) as f64;
-    let chaos_overhead = inert_ns as f64 / tcp_ns.max(1) as f64;
-    if strict {
-        assert!(
-            chaos_overhead < 1.30,
-            "inert chaos must stay close to free on TCP: {chaos_overhead:.2}x"
-        );
-        assert!(tcp_overhead < 5.0, "TCP loopback overhead out of bounds: {tcp_overhead:.2}x");
-    }
-    println!(
-        "net_shard: {} trials / {total_rounds} rounds on {shards} workers: pipe {} ns/round, \
-         tcp {} ns/round ({tcp_overhead:.2}x), tcp+inert-chaos {} ns/round ({chaos_overhead:.2}x \
-         over tcp)",
-        sizes.shard_trials,
-        per_round(pipe_ns),
-        per_round(tcp_ns),
-        per_round(inert_ns),
-    );
-
-    let body = Json::object(vec![
-        ("shards", Json::u64(shards as u64)),
-        ("machines", Json::u64(7)),
-        ("trials", Json::u64(sizes.shard_trials as u64)),
-        ("rounds", Json::u64(total_rounds)),
-        ("pipe_ns_per_round", Json::u64(per_round(pipe_ns))),
-        ("tcp_ns_per_round", Json::u64(per_round(tcp_ns))),
-        ("tcp_inert_chaos_ns_per_round", Json::u64(per_round(inert_ns))),
-        ("tcp_overhead", Json::f64(tcp_overhead)),
-        ("inert_chaos_overhead", Json::f64(chaos_overhead)),
-        ("byte_identical", Json::Bool(true)),
-    ]);
-    ("net_shard".into(), body)
-}
-
 fn main() {
     let test_mode = std::env::args().any(|arg| arg == "--test");
     let sizes = if test_mode { Sizes::smoke() } else { Sizes::full() };
@@ -831,16 +421,13 @@ fn main() {
         bench_batch_sweep(&sizes),
         bench_relay(&sizes),
         bench_simline(&sizes, !test_mode),
-        bench_sweep(&sizes),
         bench_fault_overhead(&sizes, !test_mode),
-        bench_checkpoint(&sizes, !test_mode),
-        bench_sharded(&sizes),
-        bench_net_shard(&sizes, !test_mode),
     ];
     let doc = envelope(
         "bench_mpc",
         vec![
             ("mode".into(), Json::str(if test_mode { "smoke" } else { "full" })),
+            ("threads".into(), Json::u64(rayon::current_num_threads() as u64)),
             ("workloads".into(), Json::Object(workloads)),
         ],
     );

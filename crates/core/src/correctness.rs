@@ -8,7 +8,7 @@
 //! and count correct completions.
 
 use crate::algorithms::pipeline::Pipeline;
-use crate::theorem::{draw_instance, reference_output};
+use crate::theorem::{draw_instance, reference_output, RoundMeasurement};
 use mph_bits::BitVec;
 use mph_oracle::{LazyOracle, Oracle, RandomTape};
 use rayon::prelude::*;
@@ -93,7 +93,7 @@ fn run_is_correct(
         blocks,
     );
     match sim.run_until_output(round_cap) {
-        Ok(result) => result.completed() && result.unanimous_output() == Some(&expected),
+        Ok(result) => RoundMeasurement::of(&result, &expected).correct,
         Err(_) => false,
     }
 }

@@ -16,7 +16,7 @@ use crate::simline::SimLine;
 use mph_bits::{random_blocks, BitVec};
 use mph_metrics::{emit, Event, MetricsSink, Recorder};
 use mph_mpc::faults::derive_seed;
-use mph_mpc::{FaultPlan, FaultSpec, Simulation};
+use mph_mpc::{FaultPlan, FaultSpec, RunResult, Simulation};
 use mph_oracle::{CachedOracle, LazyOracle, Oracle, OracleHub, RandomTape, TranscriptOracle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,6 +40,22 @@ pub struct RoundMeasurement {
     pub peak_memory_bits: usize,
     /// Total communication, in bits.
     pub total_comm_bits: usize,
+}
+
+impl RoundMeasurement {
+    /// Measures a finished run against the function value `expected`: the
+    /// run is correct when it completed and every output contribution
+    /// equals `expected` (Definition 2.4's union of machine outputs).
+    pub fn of(result: &RunResult, expected: &BitVec) -> Self {
+        RoundMeasurement {
+            rounds: result.rounds(),
+            completed: result.completed(),
+            correct: result.completed() && result.unanimous_output() == Some(expected),
+            total_queries: result.stats.total_queries(),
+            peak_memory_bits: result.stats.peak_memory_bits(),
+            total_comm_bits: result.stats.total_bits(),
+        }
+    }
 }
 
 /// Draws `(RO, X)` from `seed` for `params`.
@@ -167,13 +183,6 @@ pub fn reference_output<P: MeasurablePipeline + ?Sized>(
     }
 }
 
-// The pipeline does not expose its target directly; recover it from
-// behaviour-free configuration by probing the codec? Simpler: store it.
-// (See `Pipeline::target()` accessor added for this harness.)
-fn pipeline_target(pipeline: &Pipeline) -> Target {
-    pipeline.target()
-}
-
 /// Runs `pipeline` on the `(RO, X)` drawn from `seed` and measures the
 /// paper's quantities. `s_bits = None` uses exactly the configuration's
 /// required memory.
@@ -184,7 +193,7 @@ pub fn measure_rounds<P: MeasurablePipeline + ?Sized>(
     q: Option<u64>,
     max_rounds: usize,
 ) -> RoundMeasurement {
-    measure_rounds_inner(pipeline, seed, s_bits, q, max_rounds, None)
+    TrialRunner::new().measure(pipeline, seed, s_bits, q, max_rounds, None)
 }
 
 /// [`measure_rounds`] with a telemetry sink attached to the simulator:
@@ -198,7 +207,7 @@ pub fn measure_rounds_with<P: MeasurablePipeline + ?Sized>(
     max_rounds: usize,
     sink: Arc<dyn MetricsSink>,
 ) -> RoundMeasurement {
-    measure_rounds_inner(pipeline, seed, s_bits, q, max_rounds, Some(sink))
+    TrialRunner::new().measure(pipeline, seed, s_bits, q, max_rounds, Some(sink))
 }
 
 /// Tags `recorder` with the instance parameters the theorem statements
@@ -213,17 +222,6 @@ pub fn run_tags(recorder: &Recorder, params: &LineParams, s_bits: usize, q: Opti
     recorder.set_tag("u", params.u.to_string());
     recorder.set_tag("v", params.v.to_string());
     recorder.set_tag("w", params.w.to_string());
-}
-
-fn measure_rounds_inner<P: MeasurablePipeline + ?Sized>(
-    pipeline: &Arc<P>,
-    seed: u64,
-    s_bits: Option<usize>,
-    q: Option<u64>,
-    max_rounds: usize,
-    sink: Option<Arc<dyn MetricsSink>>,
-) -> RoundMeasurement {
-    TrialRunner::new().measure(pipeline, seed, s_bits, q, max_rounds, sink)
 }
 
 /// A bounded retry budget with an optional per-attempt wall-clock
@@ -480,18 +478,7 @@ impl TrialRunner {
             }
         };
         let (measurement, timed_out) = match run {
-            Ok((result, timed_out)) => {
-                let correct = result.completed() && result.unanimous_output() == Some(&expected);
-                let measurement = RoundMeasurement {
-                    rounds: result.rounds(),
-                    completed: result.completed(),
-                    correct,
-                    total_queries: result.stats.total_queries(),
-                    peak_memory_bits: result.stats.peak_memory_bits(),
-                    total_comm_bits: result.stats.total_bits(),
-                };
-                (measurement, timed_out)
-            }
+            Ok((result, timed_out)) => (RoundMeasurement::of(&result, &expected), timed_out),
             Err(violation) => {
                 assert!(faults.is_some(), "model violations are config bugs here: {violation}");
                 let measurement = RoundMeasurement {
@@ -510,6 +497,11 @@ impl TrialRunner {
     }
 }
 
+/// How many chunks each pool thread should see: oversplitting lets early
+/// finishers pick up remaining chunks (load balance) while keeping
+/// chunks long enough for simulation reuse to pay off.
+const BATCH_CHUNKS_PER_THREAD: usize = 4;
+
 /// [`measure_rounds`] for `trials` consecutive seeds `base_seed..`,
 /// batched through the worker pool: seeds are split into contiguous
 /// chunks, each chunk runs on one pool worker with a [`TrialRunner`]
@@ -525,38 +517,6 @@ pub fn measure_rounds_batch<P: MeasurablePipeline + ?Sized>(
     q: Option<u64>,
     max_rounds: usize,
 ) -> Vec<RoundMeasurement> {
-    measure_rounds_batch_inner(pipeline, trials, base_seed, s_bits, q, max_rounds, None)
-}
-
-/// [`measure_rounds_batch`] with a shared telemetry sink attached to
-/// every trial (a [`Recorder`]'s fold is order-independent, so the
-/// aggregate is deterministic regardless of trial interleaving).
-pub fn measure_rounds_batch_with<P: MeasurablePipeline + ?Sized>(
-    pipeline: &Arc<P>,
-    trials: usize,
-    base_seed: u64,
-    s_bits: Option<usize>,
-    q: Option<u64>,
-    max_rounds: usize,
-    sink: Arc<dyn MetricsSink>,
-) -> Vec<RoundMeasurement> {
-    measure_rounds_batch_inner(pipeline, trials, base_seed, s_bits, q, max_rounds, Some(sink))
-}
-
-/// How many chunks each pool thread should see: oversplitting lets early
-/// finishers pick up remaining chunks (load balance) while keeping
-/// chunks long enough for simulation reuse to pay off.
-const BATCH_CHUNKS_PER_THREAD: usize = 4;
-
-fn measure_rounds_batch_inner<P: MeasurablePipeline + ?Sized>(
-    pipeline: &Arc<P>,
-    trials: usize,
-    base_seed: u64,
-    s_bits: Option<usize>,
-    q: Option<u64>,
-    max_rounds: usize,
-    sink: Option<Arc<dyn MetricsSink>>,
-) -> Vec<RoundMeasurement> {
     let seeds: Vec<u64> = (0..trials).map(|t| base_seed.wrapping_add(t as u64)).collect();
     let chunk_size =
         seeds.len().div_ceil(rayon::current_num_threads() * BATCH_CHUNKS_PER_THREAD).max(1);
@@ -566,7 +526,7 @@ fn measure_rounds_batch_inner<P: MeasurablePipeline + ?Sized>(
             let mut runner = TrialRunner::new();
             chunk
                 .iter()
-                .map(|&seed| runner.measure(pipeline, seed, s_bits, q, max_rounds, sink.clone()))
+                .map(|&seed| runner.measure(pipeline, seed, s_bits, q, max_rounds, None))
                 .collect()
         })
         .collect();
@@ -580,31 +540,7 @@ pub fn mean_rounds<P: MeasurablePipeline + ?Sized>(
     base_seed: u64,
     max_rounds: usize,
 ) -> f64 {
-    mean_rounds_inner(pipeline, trials, base_seed, max_rounds, None)
-}
-
-/// [`mean_rounds`] with a shared telemetry sink: all trials record into
-/// `sink` concurrently (a [`Recorder`]'s fold is order-independent, so
-/// the aggregate is the same regardless of trial interleaving).
-pub fn mean_rounds_with<P: MeasurablePipeline + ?Sized>(
-    pipeline: &Arc<P>,
-    trials: usize,
-    base_seed: u64,
-    max_rounds: usize,
-    sink: Arc<dyn MetricsSink>,
-) -> f64 {
-    mean_rounds_inner(pipeline, trials, base_seed, max_rounds, Some(sink))
-}
-
-fn mean_rounds_inner<P: MeasurablePipeline + ?Sized>(
-    pipeline: &Arc<P>,
-    trials: usize,
-    base_seed: u64,
-    max_rounds: usize,
-    sink: Option<Arc<dyn MetricsSink>>,
-) -> f64 {
-    let measurements =
-        measure_rounds_batch_inner(pipeline, trials, base_seed, None, None, max_rounds, sink);
+    let measurements = measure_rounds_batch(pipeline, trials, base_seed, None, None, max_rounds);
     let total: usize = measurements
         .iter()
         .map(|m| {
@@ -728,7 +664,7 @@ pub fn detect_skip_events(trace: &crate::trace::EvalTrace, queries: &[BitVec]) -
 /// the empirical counterpart of Lemma 3.3's `Pr[E^{(k)}]` bound.
 pub fn skip_events_in_run(pipeline: &Arc<Pipeline>, seed: u64) -> Vec<SkipEvent> {
     let (oracle, blocks) = draw_instance(pipeline.params(), seed);
-    let trace = match pipeline_target(pipeline) {
+    let trace = match pipeline.target() {
         Target::Line => Line::new(*pipeline.params()).trace(&*oracle, &blocks),
         Target::SimLine => SimLine::new(*pipeline.params()).trace(&*oracle, &blocks),
     };
@@ -888,19 +824,6 @@ mod tests {
             let single = measure_rounds(&p, 900 + t as u64, None, None, 10_000);
             assert_eq!(*got, single, "trial {t}");
         }
-    }
-
-    #[test]
-    fn batch_telemetry_matches_sequential_aggregate() {
-        let p = pipeline(40, 8, 4, 3, Target::SimLine);
-        let batched = Arc::new(Recorder::new());
-        let batch = measure_rounds_batch_with(&p, 5, 70, None, None, 10_000, batched.clone());
-        let sequential = Arc::new(Recorder::new());
-        let singles: Vec<RoundMeasurement> = (0..5)
-            .map(|t| measure_rounds_with(&p, 70 + t, None, None, 10_000, sequential.clone()))
-            .collect();
-        assert_eq!(batch, singles);
-        assert_eq!(batched.snapshot().to_json_string(), sequential.snapshot().to_json_string());
     }
 
     #[test]

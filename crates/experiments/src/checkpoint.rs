@@ -41,8 +41,8 @@ pub const SECTION_MANIFEST: [u8; 4] = *b"MNFT";
 
 /// Default checkpoint cadence: flush after every 4 completed cells —
 /// frequent enough that a kill loses at most a few cells of work, rare
-/// enough that the overhead stays well under the 5% budget `bench_mpc`'s
-/// `checkpoint_overhead` workload enforces.
+/// enough that the writes stay a small share of a sweep (perfbench's
+/// `serve` workload measures them as `checkpoint.write_ms`).
 pub const DEFAULT_EVERY: usize = 4;
 
 /// Where and how often a sweep checkpoints.
@@ -421,7 +421,7 @@ pub fn run_sweep_checkpointed_observed(
 /// [`run_sweep_checkpointed_observed`] with a cooperative cancel flag:
 /// the run stops (returning `None`) at the first batch boundary where
 /// `cancel` reads `true` — after the preceding batch's checkpoint flush,
-/// so everything already observed is durably on disk and a later run of
+/// so everything already observed is written to disk and a later run of
 /// the same grid resumes it byte-identically. This is the engine under
 /// the daemon's `cancel` method.
 pub fn run_sweep_checkpointed_cancellable(

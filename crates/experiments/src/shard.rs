@@ -351,21 +351,12 @@ impl ShardedRunner {
         if self.degraded.is_none() {
             self.sup = Some(sup);
         }
-        let run = run?;
-        let correct = run.completed() && run.unanimous_output() == Some(&expected);
-        Ok(RoundMeasurement {
-            rounds: run.rounds(),
-            completed: run.completed(),
-            correct,
-            total_queries: run.stats.total_queries(),
-            peak_memory_bits: run.stats.peak_memory_bits(),
-            total_comm_bits: run.stats.total_bits(),
-        })
+        Ok(RoundMeasurement::of(&run?, &expected))
     }
 }
 
 /// Runs one supervised trial on a one-shot fleet — a convenience wrapper
-/// over [`ShardedRunner`] for callers (benches, tests) that measure a
+/// over [`ShardedRunner`] for callers (E14, tests) that measure a
 /// single spec and do not need cross-trial fleet reuse.
 pub fn measure_sharded(
     spec: &ShardSpec,

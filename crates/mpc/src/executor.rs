@@ -50,27 +50,14 @@ use mph_oracle::{Oracle, RandomTape, SnapshotError};
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Why a run stopped.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// At least one machine emitted an output; `rounds` is the number of
-    /// completed rounds (the paper's `R`).
-    Completed {
-        /// Number of rounds executed, including the output round.
-        rounds: usize,
-    },
-    /// The round limit was reached without any output.
-    RoundLimit {
-        /// The limit that was hit.
-        limit: usize,
-    },
-}
-
-/// The result of a run: outcome, outputs, and instrumentation.
+/// The result of a run: outputs and instrumentation.
+///
+/// A run stops at the first round in which some machine emits an output,
+/// or at its round limit, so the outputs say why it stopped
+/// ([`RunResult::completed`]) and the statistics hold one record per
+/// round executed ([`RunResult::rounds`]).
 #[derive(Debug)]
 pub struct RunResult {
-    /// Why the run stopped.
-    pub outcome: RunOutcome,
     /// Output contributions `(machine, bits)` in machine order — the
     /// "union of outputs of all the machines" of Definition 2.4.
     pub outputs: Vec<(MachineId, BitVec)>,
@@ -79,14 +66,22 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// The number of rounds executed.
+    /// The number of rounds executed — the paper's `R` when the run
+    /// [completed](RunResult::completed).
     pub fn rounds(&self) -> usize {
         self.stats.num_rounds()
     }
 
     /// True if the run produced at least one output within the limit.
+    ///
+    /// A run that starts out already holding outputs reads as completed:
+    /// one resumed from a snapshot taken after an output round, or one
+    /// whose simulation was stepped by hand ([`Simulation::step`]) before
+    /// the call. [`Simulation::reset`] clears outputs, and
+    /// [`Simulation::step_shard`] returns each round's outputs instead of
+    /// keeping them.
     pub fn completed(&self) -> bool {
-        matches!(self.outcome, RunOutcome::Completed { .. })
+        !self.outputs.is_empty()
     }
 
     /// The single output of a run that produced *exactly one* output
@@ -837,15 +832,9 @@ impl Simulation {
         Ok(())
     }
 
-    /// Drains the collected outputs and statistics of a run that started
-    /// at round `start_round` with a limit of `limit` rounds.
-    fn drain(&mut self, completed: bool, start_round: usize, limit: usize) -> RunResult {
+    /// Drains the collected outputs and statistics into a [`RunResult`].
+    fn drain(&mut self) -> RunResult {
         RunResult {
-            outcome: if completed {
-                RunOutcome::Completed { rounds: self.round - start_round }
-            } else {
-                RunOutcome::RoundLimit { limit }
-            },
             outputs: std::mem::take(&mut self.outputs),
             stats: std::mem::take(&mut self.stats),
         }
@@ -853,38 +842,36 @@ impl Simulation {
 
     /// Runs until some machine emits an output or `max_rounds` is reached.
     ///
-    /// The returned outcome counts rounds executed *by this call* (its
-    /// stats were reset when the previous `run_*` drained them), so on a
-    /// reused simulation `RunOutcome::Completed { rounds }` always agrees
-    /// with [`RunResult::rounds`].
+    /// The result counts rounds executed *by this call*: the previous
+    /// `run_*` drained the statistics, so a reused simulation reports
+    /// per-call [`RunResult::rounds`].
     pub fn run_until_output(&mut self, max_rounds: usize) -> Result<RunResult, ModelViolation> {
         self.run_with_watchdog(max_rounds, &mut || false).map(|(result, _)| result)
     }
 
     /// Like [`Simulation::run_until_output`], but polls the `expired`
     /// predicate before every round — the wall-clock watchdog hook. When
-    /// the predicate fires, the run stops with a
-    /// [`RunOutcome::RoundLimit`] result and the returned flag is `true`.
+    /// the predicate fires, the run stops short of completion and the
+    /// returned flag is `true`.
     ///
     /// Completion is checked *before* expiry: a round that produces output
-    /// returns `(Completed, false)` without consulting the predicate
-    /// again, so a trial finishing exactly at its deadline counts as a
-    /// success, never a timeout.
+    /// returns a completed result and `false` without consulting the
+    /// predicate again, so a trial finishing exactly at its deadline
+    /// counts as a success, never a timeout.
     pub fn run_with_watchdog(
         &mut self,
         max_rounds: usize,
         expired: &mut dyn FnMut() -> bool,
     ) -> Result<(RunResult, bool), ModelViolation> {
-        let start_round = self.round;
         for _ in 0..max_rounds {
             if expired() {
-                return Ok((self.drain(false, start_round, max_rounds), true));
+                return Ok((self.drain(), true));
             }
             if !self.step()?.is_empty() {
-                return Ok((self.drain(true, start_round, max_rounds), false));
+                return Ok((self.drain(), false));
             }
         }
-        Ok((self.drain(false, start_round, max_rounds), false))
+        Ok((self.drain(), false))
     }
 
     /// Captures the simulation's run state as a durable
@@ -1049,15 +1036,13 @@ impl Simulation {
 
     /// Runs exactly `rounds` rounds (collecting any outputs along the way).
     ///
-    /// Like [`Simulation::run_until_output`], the outcome's round count is
-    /// per-call, not cumulative across reuses of the simulation.
+    /// Like [`Simulation::run_until_output`], the round count is per-call,
+    /// not cumulative across reuses of the simulation.
     pub fn run_rounds(&mut self, rounds: usize) -> Result<RunResult, ModelViolation> {
-        let start_round = self.round;
         for _ in 0..rounds {
             self.step()?;
         }
-        let completed = !self.outputs.is_empty();
-        Ok(self.drain(completed, start_round, rounds))
+        Ok(self.drain())
     }
 }
 
@@ -1318,9 +1303,8 @@ mod tests {
 
     #[test]
     fn reused_simulation_reports_per_call_rounds() {
-        // Two back-to-back runs on one simulation: the second outcome's
-        // round count must agree with its own RunResult::rounds(), not the
-        // cumulative self.round.
+        // Two back-to-back runs on one simulation: the second run's round
+        // count must be its own, not the cumulative self.round.
         let logic: Arc<dyn MachineLogic> =
             Arc::new(|ctx: &RoundCtx<'_>, incoming: &Inbox<'_>, out: &mut Outbox| {
                 let Some(msg) = incoming.first() else {
@@ -1337,18 +1321,14 @@ mod tests {
         s.set_uniform_logic(logic);
         s.seed_memory(0, BitVec::zeros(4));
         let first = s.run_until_output(10).unwrap();
-        assert_eq!(first.outcome, RunOutcome::Completed { rounds: 3 });
+        assert!(first.completed());
         assert_eq!(first.rounds(), 3);
 
         // Reuse the same simulation for a second computation.
         s.seed_memory(0, BitVec::zeros(4));
         let second = s.run_until_output(10).unwrap();
-        assert_eq!(second.rounds(), 3);
-        assert_eq!(
-            second.outcome,
-            RunOutcome::Completed { rounds: second.rounds() },
-            "outcome must count rounds within the call, not cumulatively"
-        );
+        assert!(second.completed());
+        assert_eq!(second.rounds(), 3, "rounds count within the call, not cumulatively");
         assert_eq!(second.outputs.len(), 1, "first run's outputs were already drained");
     }
 
@@ -1449,7 +1429,7 @@ mod tests {
         let mut s = sim(2, 64);
         // Idle machines never output.
         let result = s.run_until_output(5).unwrap();
-        assert_eq!(result.outcome, RunOutcome::RoundLimit { limit: 5 });
+        assert!(!result.completed());
         assert_eq!(result.rounds(), 5);
     }
 
@@ -1539,11 +1519,8 @@ mod tests {
         assert_eq!(result.output_count(), 3);
         assert!(result.unanimous_output().is_none(), "disagreeing outputs are not unanimous");
 
-        let empty = RunResult {
-            outcome: RunOutcome::RoundLimit { limit: 1 },
-            outputs: Vec::new(),
-            stats: SimStats::default(),
-        };
+        let empty = RunResult { outputs: Vec::new(), stats: SimStats::default() };
+        assert!(!empty.completed());
         assert_eq!(empty.output_count(), 0);
         assert!(empty.unanimous_output().is_none());
     }

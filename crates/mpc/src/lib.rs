@@ -43,7 +43,7 @@ pub mod stats;
 pub mod transport;
 
 pub use error::ModelViolation;
-pub use executor::{RunOutcome, RunResult, ShardRoundOutput, Simulation};
+pub use executor::{RunResult, ShardRoundOutput, Simulation};
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use input::{partition_blocks, Partition, PartitionStrategy};
 pub use machine::{MachineLogic, Outbox, RoundCtx, SendRecord};

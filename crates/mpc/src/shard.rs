@@ -76,18 +76,18 @@
 //! channel; worker death surfaces as channel disconnect (stream EOF or
 //! a frame that fails to decode), a round-deadline timeout, or a broken
 //! write — all funnel into one path: SIGKILL + reap the old process,
-//! wait out an exponential backoff (25 ms, doubling per consecutive
-//! respawn of the same worker, capped at 2 s), respawn (bounded by
-//! [`SupervisorConfig::max_respawns`]), replay `SHARD_HELLO` → restore
-//! the last barrier `SHARD_SNAPSHOT` → resend the in-flight round's
-//! batch. While waiting for a reply the supervisor probes the worker
-//! with `HEARTBEAT` frames every 200 ms; any frame (echo or reply)
-//! refreshes the worker's liveness, and the round deadline is measured
-//! from the **last sign of life** — a stalled or SIGSTOPped worker
-//! stops echoing and is declared dead once the deadline passes. Because
-//! workers are deterministic functions of (spec bytes, barrier, batch),
-//! a replayed round is bit-identical to the one the dead worker would
-//! have computed.
+//! wait out an exponential backoff (25 ms, doubling with every respawn
+//! of that worker since its fleet was spawned or last rebound, capped at
+//! 2 s), respawn (bounded by [`SupervisorConfig::max_respawns`], counted
+//! over the same span), replay `SHARD_HELLO` → restore the last barrier
+//! `SHARD_SNAPSHOT` → resend the in-flight round's batch. While waiting
+//! for a reply the supervisor probes the worker with `HEARTBEAT` frames
+//! every 200 ms; any frame (echo or reply) refreshes the worker's
+//! liveness, and the round deadline is measured from the **last sign of
+//! life** — a stalled or SIGSTOPped worker stops echoing and is declared
+//! dead once the deadline passes. Because workers are deterministic
+//! functions of (spec bytes, barrier, batch), a replayed round is
+//! bit-identical to the one the dead worker would have computed.
 //!
 //! # Graceful degradation
 //!
@@ -103,7 +103,7 @@
 //! of an error.
 
 use crate::error::ModelViolation;
-use crate::executor::{RunOutcome, RunResult, Simulation};
+use crate::executor::{RunResult, Simulation};
 use crate::message::{MachineId, Message};
 use crate::snapshot::SimulationSnapshot;
 use crate::stats::{RoundStats, SimStats};
@@ -798,8 +798,9 @@ fn fresh_nonce() -> u64 {
 /// the supervisor waits on it.
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(200);
 
-/// First respawn backoff delay; doubles per consecutive respawn of the
-/// same worker, up to [`BACKOFF_CAP`].
+/// First respawn backoff delay; doubles with every respawn of the same
+/// worker since its fleet was spawned or last rebound
+/// ([`Supervisor::rebind`] resets the count), up to [`BACKOFF_CAP`].
 const BACKOFF_BASE: Duration = Duration::from_millis(25);
 
 /// Upper bound on the exponential respawn backoff.
@@ -1161,6 +1162,34 @@ impl Supervisor {
         Ok(())
     }
 
+    /// Replaces worker `index` with a fresh process that keeps its
+    /// barrier and chaos counters and carries `respawns` as its respawn
+    /// count, then rolls it forward to the in-flight round. A failed
+    /// spawn leaves the old handle in place.
+    fn respawn(
+        &mut self,
+        index: usize,
+        round: usize,
+        batch: &[Message],
+        respawns: usize,
+    ) -> Result<(), ShardError> {
+        let counters = self.workers[index].counters.clone();
+        let mut fresh = self.spawn_worker(index, counters)?;
+        fresh.respawns = respawns;
+        fresh.barrier = self.workers[index].barrier.clone();
+        // Dropping the old handle reaps the dead process and joins its
+        // reader; stale frames from the dead incarnation die with its
+        // channel.
+        self.workers[index] = fresh;
+        self.worker_event("respawn", index, round);
+        if self.cfg.transport == TransportKind::Tcp {
+            self.worker_event("reconnect", index, round);
+        }
+        self.roll_forward(index, round, batch)?;
+        self.worker_event("replay", index, round);
+        Ok(())
+    }
+
     /// Recovers a crashed worker: backoff, respawn (budget-bounded),
     /// roll forward, retrying until the budget is exhausted. Because
     /// workers are deterministic functions of (spec, barrier, batch),
@@ -1179,60 +1208,16 @@ impl Supervisor {
                 return Err(ShardError::WorkerDied { worker: index, round, reason });
             }
             std::thread::sleep(backoff_delay(BACKOFF_BASE, BACKOFF_CAP, attempt));
-            let counters = self.workers[index].counters.clone();
-            match self.spawn_worker(index, counters) {
-                Ok(mut fresh) => {
-                    fresh.respawns = attempt + 1;
-                    fresh.barrier = self.workers[index].barrier.clone();
-                    // Dropping the old handle reaps the dead process and
-                    // joins its reader; stale frames from the dead
-                    // incarnation die with its channel.
-                    self.workers[index] = fresh;
-                    self.worker_event("respawn", index, round);
-                    if self.cfg.transport == TransportKind::Tcp {
-                        self.worker_event("reconnect", index, round);
-                    }
-                    match self.roll_forward(index, round, batch) {
-                        Ok(()) => {
-                            self.worker_event("replay", index, round);
-                            return Ok(());
-                        }
-                        Err(ShardError::WorkerDied { reason: r, .. }) => {
-                            reason = r;
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
+            match self.respawn(index, round, batch, attempt + 1) {
+                Ok(()) => return Ok(()),
+                Err(ShardError::WorkerDied { reason: r, .. }) => reason = r,
                 Err(ShardError::Spawn { message, .. }) => {
                     self.workers[index].respawns += 1;
                     reason = format!("respawn failed: {message}");
-                    continue;
                 }
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Respawns one worker **outside the respawn budget** and rolls it
-    /// forward — used to resync survivors after a redistribution, whose
-    /// channels may hold replies computed against the old shard map.
-    /// Single attempt: a failure here means the survivor is dead too,
-    /// and the caller walks the ladder again.
-    fn resync(&mut self, index: usize, round: usize, batch: &[Message]) -> Result<(), ShardError> {
-        let counters = self.workers[index].counters.clone();
-        let respawns = self.workers[index].respawns;
-        let mut fresh = self.spawn_worker(index, counters)?;
-        fresh.respawns = respawns;
-        fresh.barrier = self.workers[index].barrier.clone();
-        self.workers[index] = fresh;
-        self.worker_event("respawn", index, round);
-        if self.cfg.transport == TransportKind::Tcp {
-            self.worker_event("reconnect", index, round);
-        }
-        self.roll_forward(index, round, batch)?;
-        self.worker_event("replay", index, round);
-        Ok(())
     }
 
     /// Walks one rung of the degradation ladder for a worker whose
@@ -1273,11 +1258,15 @@ impl Supervisor {
                      machines [{dead_lo}, {dead_hi}) redistributed to a surviving worker"
                 ));
             }
-            // Every survivor resyncs: its channel may hold replies (or
-            // partially collected state was discarded), and the absorber
-            // must rebuild with its widened range.
+            // Every survivor is respawned outside its respawn budget and
+            // rolled forward: its channel may hold replies computed
+            // against the old shard map (or partially collected state was
+            // discarded), and the absorber must rebuild with its widened
+            // range. A single attempt: a failure means the survivor is
+            // dead too, and the caller walks the ladder again.
             for (i, batch) in batches.iter().enumerate().take(self.workers.len()) {
-                self.resync(i, round, batch)?;
+                let respawns = self.workers[i].respawns;
+                self.respawn(i, round, batch, respawns)?;
             }
             Ok(())
         } else {
@@ -1453,24 +1442,17 @@ impl Supervisor {
     pub fn run_until_output(&mut self, max_rounds: usize) -> Result<RunResult, ShardError> {
         let mut batches: Vec<Vec<Message>> = vec![Vec::new(); self.bounds.len()];
         let mut stats = SimStats::default();
-        let mut outputs: Vec<(MachineId, BitVec)> = Vec::new();
         let mut round = 0;
         while round < max_rounds {
-            let (round_msgs, round_outputs, merged) = loop {
+            let (round_msgs, outputs, merged) = loop {
                 match self.run_round(round, &batches) {
                     Ok(v) => break v,
                     Err(e) => self.degrade(e, round, &mut batches)?,
                 }
             };
             stats.rounds.push(merged);
-            let produced_output = !round_outputs.is_empty();
-            outputs.extend(round_outputs);
-            if produced_output {
-                return Ok(RunResult {
-                    outcome: RunOutcome::Completed { rounds: round + 1 },
-                    outputs,
-                    stats,
-                });
+            if !outputs.is_empty() {
+                return Ok(RunResult { outputs, stats });
             }
             // Route: partition the concatenated sender-major stream by
             // destination shard, preserving order within each batch.
@@ -1489,7 +1471,7 @@ impl Supervisor {
             }
             round += 1;
         }
-        Ok(RunResult { outcome: RunOutcome::RoundLimit { limit: max_rounds }, outputs, stats })
+        Ok(RunResult { outputs: Vec::new(), stats })
     }
 
     /// Rebinds a **healthy, full-strength** fleet to a new spec without
@@ -1886,7 +1868,8 @@ mod tests {
                 batches[owner].push(msg);
             }
         }
-        assert_eq!(RunOutcome::Completed { rounds }, expected.outcome);
+        assert!(expected.completed());
+        assert_eq!(rounds, expected.rounds());
         assert_eq!(outputs, expected.outputs);
         assert_eq!(stats, expected.stats);
     }

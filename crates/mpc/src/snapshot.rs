@@ -157,8 +157,8 @@ impl SimulationSnapshot {
     }
 
     /// Decodes a snapshot, verifying the frame and every structural
-    /// invariant (`m > 0`, machine ids `< m`, `crashed.len() == m`, fault
-    /// rates finite in `[0, 1]`).
+    /// invariant (`0 < m` and room left for `m` inbox counts, machine ids
+    /// `< m`, `crashed.len() == m`, fault rates finite in `[0, 1]`).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapshotReader::new(bytes)?;
         r.begin_section(&SECTION_SIMULATION)?;
@@ -173,6 +173,15 @@ impl SimulationSnapshot {
         let round = r.get_u64()? as usize;
         let tape_seed = r.get_u64()?;
 
+        // Every inbox needs at least its 8-byte count, so a declared `m`
+        // the remaining bytes cannot hold is refused before it sizes an
+        // allocation.
+        if m > r.remaining() / 8 {
+            return Err(SnapshotError::Malformed(format!(
+                "m = {m} inboxes cannot fit in the {} bytes that remain",
+                r.remaining()
+            )));
+        }
         let mut inboxes = Vec::with_capacity(m);
         for _ in 0..m {
             let count = r.get_u64()?;
@@ -358,5 +367,24 @@ mod tests {
         bad_output.outputs[0].0 = 7;
         let err = SimulationSnapshot::from_bytes(&bad_output.to_bytes()).unwrap_err();
         assert!(matches!(err, SnapshotError::Malformed(_)), "output id: {err}");
+    }
+
+    #[test]
+    fn snapshot_declaring_a_huge_machine_count_is_a_typed_error() {
+        // A CRC-valid container whose header declares m = 2^40 and then
+        // ends: decoding must refuse the count, not size an allocation
+        // by it.
+        let mut w = SnapshotWriter::new();
+        let patch = w.begin_section(&SECTION_SIMULATION);
+        w.put_u64(1 << 40); // m
+        w.put_u64(64); // s_bits
+        w.put_bool(false); // no q
+        w.put_u64(0); // q
+        w.put_u64(0); // round
+        w.put_u64(0); // tape seed
+        w.end_section(patch);
+        let bytes = w.finish();
+        let err = SimulationSnapshot::from_bytes(&bytes).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed(_)), "m = 2^40: {err}");
     }
 }
