@@ -1,9 +1,12 @@
 //! Wall-clock benchmark of the oracle/routing hot path, written to
 //! `BENCH_mpc.json` at the repository root.
 //!
-//! Five workloads, timed with `std::time::Instant` (best of several
-//! repetitions), each asserting that its fast path is byte-identical to
-//! its reference path:
+//! Five workloads, timed with `std::time::Instant` over several
+//! repetitions (every timed field reports the min, median and max), each
+//! asserting that its fast path is byte-identical to its reference path.
+//! The two sides of every gated ratio run interleaved — A, B, A, B, … —
+//! so host drift lands on both alike, and the gate reads the ratio of
+//! their best repetitions:
 //!
 //! 1. **`oracle_repeated_queries`** — `distinct` random inputs asked
 //!    `repeats` times each, bare [`LazyOracle`] vs [`CachedOracle`] vs
@@ -53,22 +56,69 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Best-of-`reps` wall time of `f`, in nanoseconds, plus `f`'s last value.
-fn time_ns<T>(reps: usize, mut f: impl FnMut() -> T) -> (u64, T) {
-    assert!(reps > 0);
-    let mut best = u64::MAX;
-    let mut value = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let v = black_box(f());
-        best = best.min(start.elapsed().as_nanos() as u64);
-        value = Some(v);
+/// The wall times of a timed path's repetitions, in nanoseconds.
+#[derive(Default)]
+struct Samples(Vec<u64>);
+
+impl Samples {
+    /// The best repetition: the statistic every gate reads.
+    fn min(&self) -> u64 {
+        *self.0.iter().min().expect("at least one repetition")
     }
-    (best, value.unwrap())
+
+    /// Every sample divided by `units`: a per-round or per-query figure.
+    fn per(&self, units: usize) -> Samples {
+        Samples(self.0.iter().map(|ns| ns / units as u64).collect())
+    }
+
+    /// `{min, median, max}` of the samples (the upper median for an even
+    /// count).
+    fn json(&self) -> Json {
+        let mut sorted = self.0.clone();
+        sorted.sort_unstable();
+        Json::object(vec![
+            ("min", Json::u64(sorted[0])),
+            ("median", Json::u64(sorted[sorted.len() / 2])),
+            ("max", Json::u64(sorted[sorted.len() - 1])),
+        ])
+    }
 }
 
-fn speedup(bare_ns: u64, fast_ns: u64) -> f64 {
-    bare_ns as f64 / fast_ns.max(1) as f64
+/// Times one call of `f`, appending its wall time to `samples`; returns
+/// `f`'s value.
+fn time_once<T>(samples: &mut Samples, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let value = black_box(f());
+    samples.0.push(start.elapsed().as_nanos() as u64);
+    value
+}
+
+/// Times `reps` calls of `f`; returns the samples and `f`'s last value.
+fn time_ns<T>(reps: usize, mut f: impl FnMut() -> T) -> (Samples, T) {
+    let mut samples = Samples::default();
+    let value = (0..reps).map(|_| time_once(&mut samples, &mut f)).last();
+    (samples, value.expect("at least one repetition"))
+}
+
+/// Times `reps` calls each of the two sides of a gated ratio, interleaved
+/// (A, B, A, B, …); returns each side's samples and last value.
+fn time_pair<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> ((Samples, A), (Samples, B)) {
+    let (mut a_ns, mut b_ns) = (Samples::default(), Samples::default());
+    let mut last = None;
+    for _ in 0..reps {
+        last = Some((time_once(&mut a_ns, &mut a), time_once(&mut b_ns, &mut b)));
+    }
+    let (a_value, b_value) = last.expect("at least one repetition");
+    ((a_ns, a_value), (b_ns, b_value))
+}
+
+/// The gate statistic of a ratio: `slow`'s best repetition over `fast`'s.
+fn speedup(slow: &Samples, fast: &Samples) -> f64 {
+    slow.min() as f64 / fast.min().max(1) as f64
 }
 
 struct Sizes {
@@ -81,13 +131,12 @@ struct Sizes {
     line: LineParams,
     pipe_m: usize,
     window: usize,
-    pipe_runs: usize,
 }
 
 impl Sizes {
     fn full() -> Self {
         Sizes {
-            reps: 5,
+            reps: 21,
             distinct: 256,
             repeats: 32,
             relay_m: 32,
@@ -97,7 +146,6 @@ impl Sizes {
             line: LineParams::new(64, 512, 16, 64),
             pipe_m: 8,
             window: 16,
-            pipe_runs: 3,
         }
     }
 
@@ -112,7 +160,6 @@ impl Sizes {
             line: LineParams::new(64, 64, 16, 16),
             pipe_m: 4,
             window: 8,
-            pipe_runs: 2,
         }
     }
 }
@@ -135,28 +182,35 @@ fn bench_oracle(sizes: &Sizes, strict: bool) -> (String, Json) {
     }
 
     let bare = Arc::new(LazyOracle::square(7, n));
-    let (bare_ns, bare_answers) =
-        time_ns(sizes.reps, || queries.iter().map(|q| bare.query(q)).collect::<Vec<_>>());
-    // A fresh cache per repetition: each timed run pays its own misses.
-    let (cached_ns, cached_answers) = time_ns(sizes.reps, || {
-        let cached = CachedOracle::new(Arc::clone(&bare));
-        queries.iter().map(|q| cached.query(q)).collect::<Vec<_>>()
-    });
     let views: Vec<_> = queries.iter().map(|q| q.as_view()).collect();
-    let (batched_ns, batched_arena) = time_ns(sizes.reps, || {
-        let cached = CachedOracle::new(Arc::clone(&bare));
-        let mut arena = BitVec::new();
-        cached.query_many_into(&views, &mut arena);
-        arena
-    });
+    // The three paths run interleaved, and each repetition of a cached
+    // path builds a fresh cache: each timed run pays its own misses.
+    let (mut bare_ns, mut cached_ns, mut batched_ns) =
+        (Samples::default(), Samples::default(), Samples::default());
+    let (mut bare_answers, mut cached_answers, mut batched_arena) =
+        (Vec::new(), Vec::new(), BitVec::new());
+    for _ in 0..sizes.reps {
+        bare_answers =
+            time_once(&mut bare_ns, || queries.iter().map(|q| bare.query(q)).collect::<Vec<_>>());
+        cached_answers = time_once(&mut cached_ns, || {
+            let cached = CachedOracle::new(Arc::clone(&bare));
+            queries.iter().map(|q| cached.query(q)).collect::<Vec<_>>()
+        });
+        batched_arena = time_once(&mut batched_ns, || {
+            let cached = CachedOracle::new(Arc::clone(&bare));
+            let mut arena = BitVec::new();
+            cached.query_many_into(&views, &mut arena);
+            arena
+        });
+    }
     // Unpacked outside the timed region: the arena *is* the batch answer.
     let batched_answers: Vec<_> =
         (0..queries.len()).map(|i| batched_arena.slice(i * n, n)).collect();
 
     assert_eq!(bare_answers, cached_answers, "cache must be observationally invisible");
     assert_eq!(bare_answers, batched_answers, "query_many_into must match per-query answers");
-    let cached_speedup = speedup(bare_ns, cached_ns);
-    let batched_speedup = speedup(bare_ns, batched_ns);
+    let cached_speedup = speedup(&bare_ns, &cached_ns);
+    let batched_speedup = speedup(&bare_ns, &batched_ns);
     if strict {
         assert!(
             cached_speedup >= 2.0,
@@ -169,18 +223,19 @@ fn bench_oracle(sizes: &Sizes, strict: bool) -> (String, Json) {
              and answer allocation across the batch"
         );
     }
+    let (bare, cached, batched) = (bare_ns.min(), cached_ns.min(), batched_ns.min());
     println!(
-        "oracle_repeated_queries: bare {bare_ns} ns, cached {cached_ns} ns ({cached_speedup:.2}x), \
-         query_many_into {batched_ns} ns ({batched_speedup:.2}x)"
+        "oracle_repeated_queries: bare {bare} ns, cached {cached} ns ({cached_speedup:.2}x), \
+         query_many_into {batched} ns ({batched_speedup:.2}x)"
     );
 
     let body = Json::object(vec![
         ("distinct", Json::u64(sizes.distinct as u64)),
         ("repeats", Json::u64(sizes.repeats as u64)),
         ("total_queries", Json::u64(queries.len() as u64)),
-        ("bare_ns", Json::u64(bare_ns)),
-        ("cached_ns", Json::u64(cached_ns)),
-        ("batched_ns", Json::u64(batched_ns)),
+        ("bare_ns", bare_ns.json()),
+        ("cached_ns", cached_ns.json()),
+        ("batched_ns", batched_ns.json()),
         ("cached_speedup", Json::f64(cached_speedup)),
         ("batched_speedup", Json::f64(batched_speedup)),
         ("byte_identical", Json::Bool(true)),
@@ -219,14 +274,14 @@ fn bench_batch_sweep(sizes: &Sizes) -> (String, Json) {
             out
         });
         assert_eq!(answers, bare_answers, "batch size {batch} must not change any answer");
-        let ns_per_query = total_ns / queries.len() as u64;
-        summary.push_str(&format!(" batch {batch}: {ns_per_query} ns/q;"));
+        let ns_per_query = total_ns.per(queries.len());
+        summary.push_str(&format!(" batch {batch}: {} ns/q;", ns_per_query.min()));
         batches.push((
             format!("batch_{batch}"),
             Json::object(vec![
                 ("batch", Json::u64(batch as u64)),
-                ("total_ns", Json::u64(total_ns)),
-                ("ns_per_query", Json::u64(ns_per_query)),
+                ("total_ns", total_ns.json()),
+                ("ns_per_query", ns_per_query.json()),
             ]),
         ));
     }
@@ -273,7 +328,7 @@ fn bench_relay(sizes: &Sizes) -> (String, Json) {
         let mut sim = build_relay(sizes.relay_m, payload_bits);
         sim.run_rounds(sizes.relay_rounds).unwrap().stats.total_messages()
     });
-    let ns_per_round = total_ns / sizes.relay_rounds as u64;
+    let ns_per_round = total_ns.per(sizes.relay_rounds);
 
     // Byte-identity: after r rounds the ring has rotated every seeded
     // payload r hops, bit for bit — the zero-copy path must deliver
@@ -292,8 +347,9 @@ fn bench_relay(sizes: &Sizes) -> (String, Json) {
             "payload arriving at machine {machine} must be machine {origin}'s seed, verbatim"
         );
     }
+    let (total, per_round) = (total_ns.min(), ns_per_round.min());
     println!(
-        "relay_routing: m = {}, {} rounds, {} messages in {total_ns} ns ({ns_per_round} ns/round)",
+        "relay_routing: m = {}, {} rounds, {} messages in {total} ns ({per_round} ns/round)",
         sizes.relay_m, sizes.relay_rounds, messages
     );
 
@@ -302,8 +358,8 @@ fn bench_relay(sizes: &Sizes) -> (String, Json) {
         ("rounds", Json::u64(sizes.relay_rounds as u64)),
         ("payload_bits", Json::u64(payload_bits as u64)),
         ("messages_routed", Json::u64(messages as u64)),
-        ("total_ns", Json::u64(total_ns)),
-        ("ns_per_round", Json::u64(ns_per_round)),
+        ("total_ns", total_ns.json()),
+        ("ns_per_round", ns_per_round.json()),
         ("byte_identical", Json::Bool(true)),
     ]);
     ("relay_routing".into(), body)
@@ -330,16 +386,18 @@ fn bench_simline(sizes: &Sizes, strict: bool) -> (String, Json) {
         (result.rounds(), result.sole_output().unwrap().clone())
     };
 
-    let (bare_ns, (rounds, bare_out)) = time_ns(sizes.pipe_runs, || run(Arc::clone(&oracle) as _));
     // One shared cache across repetitions: the repeated-trial shape — the
     // first run pays the misses, later runs hit.
     let cached = Arc::new(CachedOracle::new(Arc::clone(&oracle)));
-    let (cached_ns, (cached_rounds, cached_out)) =
-        time_ns(sizes.pipe_runs.max(2), || run(Arc::clone(&cached) as _));
+    let ((bare_ns, (rounds, bare_out)), (cached_ns, (cached_rounds, cached_out))) = time_pair(
+        sizes.reps.max(2),
+        || run(Arc::clone(&oracle) as _),
+        || run(Arc::clone(&cached) as _),
+    );
 
     assert_eq!(bare_out, cached_out, "cached pipeline output must be byte-identical");
     assert_eq!(rounds, cached_rounds, "caching must not change the round count");
-    let warm_speedup = speedup(bare_ns, cached_ns);
+    let warm_speedup = speedup(&bare_ns, &cached_ns);
     if strict {
         assert!(
             warm_speedup >= 2.0,
@@ -347,9 +405,10 @@ fn bench_simline(sizes: &Sizes, strict: bool) -> (String, Json) {
              either cache reads re-allocate or executor overhead dominates the round"
         );
     }
+    let (bare, warm) = (bare_ns.min(), cached_ns.min());
     println!(
-        "simline_pipeline: w = {}, m = {}, window = {}: {rounds} rounds, bare {bare_ns} ns, \
-         warm-cached {cached_ns} ns ({warm_speedup:.2}x)",
+        "simline_pipeline: w = {}, m = {}, window = {}: {rounds} rounds, bare {bare} ns, \
+         warm-cached {warm} ns ({warm_speedup:.2}x)",
         params.w, sizes.pipe_m, sizes.window
     );
 
@@ -361,8 +420,8 @@ fn bench_simline(sizes: &Sizes, strict: bool) -> (String, Json) {
         ("machines", Json::u64(sizes.pipe_m as u64)),
         ("window", Json::u64(sizes.window as u64)),
         ("rounds", Json::u64(rounds as u64)),
-        ("bare_ns", Json::u64(bare_ns)),
-        ("warm_cached_ns", Json::u64(cached_ns)),
+        ("bare_ns", bare_ns.json()),
+        ("warm_cached_ns", cached_ns.json()),
         ("warm_cached_speedup", Json::f64(warm_speedup)),
         ("byte_identical", Json::Bool(true)),
     ]);
@@ -384,18 +443,19 @@ fn bench_fault_overhead(sizes: &Sizes, strict: bool) -> (String, Json) {
         (stats.total_messages(), stats.total_bits())
     };
 
-    let (plain_ns, plain_totals) = time_ns(sizes.reps, || run(false));
-    let (inert_ns, inert_totals) = time_ns(sizes.reps, || run(true));
+    let ((plain_ns, plain_totals), (inert_ns, inert_totals)) =
+        time_pair(sizes.reps, || run(false), || run(true));
     assert_eq!(plain_totals, inert_totals, "an inert fault plan must be behaviorally invisible");
-    let overhead = inert_ns as f64 / plain_ns.max(1) as f64;
+    let overhead = speedup(&inert_ns, &plain_ns);
     if strict {
         assert!(
             overhead <= 1.15,
             "inert fault plan costs {overhead:.2}x on the routing path — that is measurable"
         );
     }
+    let (plain, inert) = (plain_ns.min(), inert_ns.min());
     println!(
-        "fault_overhead: m = {}, {} rounds: no plan {plain_ns} ns, inert plan {inert_ns} ns \
+        "fault_overhead: m = {}, {} rounds: no plan {plain} ns, inert plan {inert} ns \
          ({overhead:.2}x)",
         sizes.relay_m, sizes.relay_rounds
     );
@@ -404,8 +464,8 @@ fn bench_fault_overhead(sizes: &Sizes, strict: bool) -> (String, Json) {
         ("machines", Json::u64(sizes.relay_m as u64)),
         ("rounds", Json::u64(sizes.relay_rounds as u64)),
         ("messages_routed", Json::u64(plain_totals.0 as u64)),
-        ("no_plan_ns", Json::u64(plain_ns)),
-        ("inert_plan_ns", Json::u64(inert_ns)),
+        ("no_plan_ns", plain_ns.json()),
+        ("inert_plan_ns", inert_ns.json()),
         ("inert_overhead", Json::f64(overhead)),
         ("byte_identical", Json::Bool(true)),
     ]);

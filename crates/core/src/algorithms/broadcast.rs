@@ -15,6 +15,7 @@
 //! produce it — not addressing. That is the theorem's content in
 //! algorithmic form.
 
+use super::pipeline::WalkScratch;
 use super::{BlockAssignment, Codec, ParsedView};
 use crate::params::LineParams;
 use mph_bits::{BitSlice, BitVec};
@@ -76,13 +77,6 @@ impl Broadcast {
         }
         sim
     }
-
-    fn needed_block(&self, i: u64, l: usize) -> usize {
-        match self.target {
-            Target::Line => l,
-            Target::SimLine => ((i - 1) % self.params.v as u64) as usize,
-        }
-    }
 }
 
 impl MachineLogic for Broadcast {
@@ -114,33 +108,19 @@ impl MachineLogic for Broadcast {
         }
 
         if let Some((mut i, mut l, r)) = frontier {
-            let mut r = r.to_bitvec();
             // Only the designated holder acts; everyone else just watches
             // the frontier go by (and re-learns it next round from the
             // broadcast).
-            let needed = self.needed_block(i, l);
+            let needed = self.target.needed_block(&self.params, i, l);
             if self.assignment.route(needed) != ctx.machine() {
                 return Ok(());
             }
+            let mut scratch = WalkScratch::new(&r);
             loop {
-                let needed = self.needed_block(i, l);
+                let needed = self.target.needed_block(&self.params, i, l);
                 match &local[needed] {
                     Some(x) => {
-                        let x = x.to_bitvec();
-                        let query = match self.target {
-                            Target::Line => self.params.pack_query(i, &x, &r),
-                            Target::SimLine => self.params.pack_simline_query(&x, &r),
-                        };
-                        let answer = ctx.query(&query)?;
-                        match self.target {
-                            Target::Line => {
-                                l = self.params.extract_pointer(&answer);
-                                r = self.params.extract_chain(&answer);
-                            }
-                            Target::SimLine => {
-                                r = answer.slice(0, self.params.u);
-                            }
-                        }
+                        l = scratch.advance(&self.params, self.target, ctx, i, x)?;
                         i += 1;
                         if i > self.params.w {
                             // Done — drop the window persistence
@@ -149,7 +129,7 @@ impl MachineLogic for Broadcast {
                             // send bound.
                             let me = ctx.machine();
                             out.retain_sends(|to| to != me);
-                            out.emit(answer);
+                            out.emit(scratch.answer);
                             return Ok(());
                         }
                     }
@@ -157,7 +137,7 @@ impl MachineLogic for Broadcast {
                 }
             }
             // Broadcast the new frontier to everyone.
-            let token = self.codec.encode_token(i, l, &r);
+            let token = self.codec.encode_token(i, l, &scratch.r);
             for machine in 0..ctx.m() {
                 out.push(machine, &token);
             }

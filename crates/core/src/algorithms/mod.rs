@@ -159,36 +159,14 @@ const TAG_BLOCK: u64 = 1;
 const TAG_TOKEN: u64 = 2;
 const TAG_WIDTH: usize = 2;
 
-/// A parsed incoming message.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ParsedMsg {
-    /// A stored input block `(index, x)`.
-    Block {
-        /// Block index (0-based).
-        idx: usize,
-        /// The `u`-bit block.
-        x: BitVec,
-    },
-    /// The evaluation token `(i, ℓ, r)`: "the next query is node `i`, it
-    /// needs block `ℓ`, and the chain value is `r`".
-    Token {
-        /// Next node index, 1-based.
-        i: u64,
-        /// Needed block index.
-        l: usize,
-        /// Chain value `r_i`.
-        r: BitVec,
-    },
-}
-
-/// A zero-copy parsed incoming message: like [`ParsedMsg`], but the
-/// variable-width payload fields stay borrowed views into the round arena.
+/// A parsed incoming message. The variable-width payload fields stay
+/// borrowed views into the round arena.
 ///
 /// This is what the algorithms parse their memory image with each round —
 /// a block's `u`-bit body is only materialized if the token walk actually
 /// queries it, and block persistence forwards the original wire view
 /// verbatim ([`mph_mpc::Outbox::push_view`]) instead of re-encoding.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParsedView<'a> {
     /// A stored input block `(index, x)`.
     Block {
@@ -197,7 +175,8 @@ pub enum ParsedView<'a> {
         /// The `u`-bit block, borrowed from the arena.
         x: BitSlice<'a>,
     },
-    /// The evaluation token `(i, ℓ, r)`.
+    /// The evaluation token `(i, ℓ, r)`: "the next query is node `i`, it
+    /// needs block `ℓ`, and the chain value is `r`".
     Token {
         /// Next node index, 1-based.
         i: u64,
@@ -215,6 +194,8 @@ pub struct Codec {
     block_layout: Layout,
     token_layout: Layout,
     token_i_width: usize,
+    /// Width of the block record header: the tag, then the index.
+    block_header_width: usize,
 }
 
 impl Codec {
@@ -235,7 +216,13 @@ impl Codec {
             .field("r", params.u)
             .build()
             .expect("token layout fits by construction");
-        Codec { params, block_layout, token_layout, token_i_width }
+        let block_header_width = TAG_WIDTH + l_width;
+        assert!(
+            block_header_width <= 64,
+            "v = {} blocks: a block header must fit one word",
+            params.v
+        );
+        Codec { params, block_layout, token_layout, token_i_width, block_header_width }
     }
 
     /// Bits on the wire per stored block.
@@ -279,63 +266,17 @@ impl Codec {
             .expect("token fields sized by params")
     }
 
-    /// Decodes any wire message by its tag.
+    /// Decodes any wire message by its tag, zero-copy: field payloads in
+    /// the returned [`ParsedView`] borrow `payload`'s backing arena.
     ///
-    /// Returns `None` for malformed payloads (wrong length or unknown tag) —
-    /// honest runs never produce these; fault-injection tests do.
-    pub fn decode(&self, payload: &BitVec) -> Option<ParsedMsg> {
-        if payload.len() == self.block_bits() {
-            let tag = self.block_layout.extract_u64(payload, 0).ok()?;
-            if tag != TAG_BLOCK {
-                // Could still be a token if widths collide; fall through.
-                if payload.len() != self.token_bits() {
-                    return None;
-                }
-            } else {
-                let idx = self.block_layout.extract_u64(payload, 1).ok()? as usize;
-                if idx >= self.params.v {
-                    return None;
-                }
-                let x = self.block_layout.extract(payload, 2).ok()?;
-                return Some(ParsedMsg::Block { idx, x });
-            }
-        }
-        if payload.len() == self.token_bits() {
-            let tag = self.token_layout.extract_u64(payload, 0).ok()?;
-            if tag != TAG_TOKEN {
-                return None;
-            }
-            let i = self.token_layout.extract_u64(payload, 1).ok()?;
-            let l = self.token_layout.extract_u64(payload, 2).ok()? as usize;
-            if l >= self.params.v {
-                return None;
-            }
-            let r = self.token_layout.extract(payload, 3).ok()?;
-            return Some(ParsedMsg::Token { i, l, r });
-        }
-        None
-    }
-
-    /// Decodes any wire message by its tag, zero-copy: the view-based
-    /// counterpart of [`Codec::decode`]. Field payloads in the returned
-    /// [`ParsedView`] borrow `payload`'s backing arena.
+    /// Returns `None` for malformed payloads (wrong length, unknown tag or
+    /// an index out of range) — honest runs never produce these;
+    /// fault-injection tests do.
     pub fn decode_view<'a>(&self, payload: BitSlice<'a>) -> Option<ParsedView<'a>> {
-        if payload.len() == self.block_bits() {
-            let tag = self.block_layout.extract_u64_view(&payload, 0).ok()?;
-            if tag != TAG_BLOCK {
-                // Could still be a token if widths collide; fall through.
-                if payload.len() != self.token_bits() {
-                    return None;
-                }
-            } else {
-                let idx = self.block_layout.extract_u64_view(&payload, 1).ok()? as usize;
-                if idx >= self.params.v {
-                    return None;
-                }
-                let x = self.block_layout.extract_view(&payload, 2).ok()?;
-                return Some(ParsedView::Block { idx, x });
-            }
+        if let Some(idx) = self.block_record_index(&payload) {
+            return Some(ParsedView::Block { idx, x: self.block_record_body(&payload) });
         }
+        // Not a block; when the widths collide it can still be a token.
         if payload.len() == self.token_bits() {
             let tag = self.token_layout.extract_u64_view(&payload, 0).ok()?;
             if tag != TAG_TOKEN {
@@ -366,7 +307,7 @@ impl Codec {
     /// every wire record, so a bundle can never be confused with a token
     /// even when their bit lengths coincide. A `Some` answer promises only
     /// the shape; callers validate each record via
-    /// [`Codec::bundle_record`] + [`Codec::decode_view`].
+    /// [`Codec::bundle_record`] + [`Codec::block_record_index`].
     pub fn bundle_records(&self, payload: &BitSlice<'_>) -> Option<usize> {
         let bb = self.block_bits();
         if payload.is_empty() || payload.len() % bb != 0 {
@@ -383,11 +324,35 @@ impl Codec {
         let bb = self.block_bits();
         payload.slice(k * bb, bb)
     }
+
+    /// The index of a block record, validated with one header read: the
+    /// tag and the index lead every block record side by side, so a single
+    /// word read checks both. `None` for a wrong length, a tag that is not
+    /// a block's, or an index out of range. This is the block branch of
+    /// [`Codec::decode_view`]; the body is [`Codec::block_record_body`].
+    pub fn block_record_index(&self, record: &BitSlice<'_>) -> Option<usize> {
+        if record.len() != self.block_bits() {
+            return None;
+        }
+        let header = record.read_u64(0, self.block_header_width);
+        if header & ((1 << TAG_WIDTH) - 1) != TAG_BLOCK {
+            return None;
+        }
+        let idx = header >> TAG_WIDTH;
+        (idx < self.params.v as u64).then_some(idx as usize)
+    }
+
+    /// The `u`-bit body of a block record that
+    /// [`Codec::block_record_index`] accepted, zero-copy.
+    pub fn block_record_body<'a>(&self, record: &BitSlice<'a>) -> BitSlice<'a> {
+        record.slice(self.block_header_width, self.params.u)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn assignment_covers_every_block() {
@@ -463,25 +428,78 @@ mod tests {
         let codec = Codec::new(params);
         let x = BitVec::ones(16);
         let msg = codec.encode_block(7, &x);
-        assert_eq!(codec.decode(&msg), Some(ParsedMsg::Block { idx: 7, x: x.clone() }));
+        assert_eq!(
+            codec.decode_view(msg.as_view()),
+            Some(ParsedView::Block { idx: 7, x: x.as_view() })
+        );
+        assert_eq!(codec.block_record_index(&msg.as_view()), Some(7));
+        assert_eq!(codec.block_record_body(&msg.as_view()), x);
 
         let r = BitVec::from_u64(0xABCD, 16);
         let tok = codec.encode_token(42, 3, &r);
-        assert_eq!(codec.decode(&tok), Some(ParsedMsg::Token { i: 42, l: 3, r }));
+        assert_eq!(
+            codec.decode_view(tok.as_view()),
+            Some(ParsedView::Token { i: 42, l: 3, r: r.as_view() })
+        );
+        assert_eq!(codec.block_record_index(&tok.as_view()), None);
     }
 
     #[test]
     fn codec_rejects_garbage() {
         let params = LineParams::new(64, 100, 16, 10);
         let codec = Codec::new(params);
-        assert_eq!(codec.decode(&BitVec::zeros(5)), None);
+        let short = BitVec::zeros(5);
         // Correct block length, bad tag.
         let bad = BitVec::zeros(codec.block_bits());
-        assert_eq!(codec.decode(&bad), None);
         // Correct block length, out-of-range index.
         let mut oob = codec.encode_block(9, &BitVec::zeros(16));
         oob.write_u64(2, 15, 4); // idx field = 15 >= v = 10
-        assert_eq!(codec.decode(&oob), None);
+        for garbage in [short, bad, oob] {
+            assert_eq!(codec.decode_view(garbage.as_view()), None);
+            assert_eq!(codec.block_record_index(&garbage.as_view()), None);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// On every record-sized input — any tag, any value of the index
+        /// field (`idx >= v` included), any body, at any arena offset —
+        /// `decode_view` parses a `Block` exactly when the tag is a block's
+        /// and the index is below `v`, with that index and body; the
+        /// accepted records are the ones `encode_block` writes, and
+        /// `block_record_index` accepts the same ones.
+        #[test]
+        fn decode_view_parses_exactly_the_valid_block_records(
+            v in 2usize..70,
+            u in 1usize..28,
+            tag in 0u64..4,
+            raw_idx in any::<u64>(),
+            body in any::<u64>(),
+            offset in 0usize..130,
+        ) {
+            let params = LineParams::new(64, 100, u, v);
+            let codec = Codec::new(params);
+            let l_width = params.l_width();
+            let idx = (raw_idx & ((1 << l_width) - 1)) as usize;
+            let x = BitVec::from_u64(body & ((1 << u) - 1), u);
+            let mut arena = BitVec::ones(offset);
+            arena.push_u64(tag, TAG_WIDTH);
+            arena.push_u64(idx as u64, l_width);
+            arena.extend_bits(&x);
+            arena.extend_bits(&BitVec::ones(offset % 7));
+            let record = arena.view(offset, codec.block_bits());
+            let expected = (tag == TAG_BLOCK && idx < v).then_some((idx, x.as_view()));
+            let parsed = match codec.decode_view(record) {
+                Some(ParsedView::Block { idx, x }) => Some((idx, x)),
+                _ => None,
+            };
+            prop_assert_eq!(parsed, expected);
+            prop_assert_eq!(codec.block_record_index(&record), expected.map(|(idx, _)| idx));
+            if expected.is_some() {
+                prop_assert_eq!(record, codec.encode_block(idx, &x));
+            }
+        }
     }
 
     #[test]

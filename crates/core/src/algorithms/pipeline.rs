@@ -140,58 +140,66 @@ impl Pipeline {
         let start = self.assignment.route(0);
         sim.seed_memory(start, self.codec.encode_token(1, 0, &BitVec::zeros(self.params.u)));
     }
+}
 
-    /// The block needed by node `i` when the current pointer is `l`.
-    fn needed_block(&self, i: u64, l: usize) -> usize {
-        match self.target {
+impl Target {
+    /// The block node `i` needs when the current pointer is `l`.
+    pub(super) fn needed_block(self, params: &LineParams, i: u64, l: usize) -> usize {
+        match self {
             Target::Line => l,
-            Target::SimLine => ((i - 1) % self.params.v as u64) as usize,
+            Target::SimLine => ((i - 1) % params.v as u64) as usize,
         }
-    }
-
-    /// One oracle step: query node `i` with block `x` and chain
-    /// `scratch.r`, updating the scratch buffers in place and returning the
-    /// new pointer `ℓ`. Steady-state advances touch only the three reused
-    /// buffers — no allocation per step.
-    fn advance(
-        &self,
-        ctx: &RoundCtx<'_>,
-        i: u64,
-        x: &BitSlice<'_>,
-        scratch: &mut WalkScratch,
-    ) -> Result<usize, ModelViolation> {
-        let r = scratch.r.as_view();
-        match self.target {
-            Target::Line => self.params.pack_query_into(i, x, &r, &mut scratch.query),
-            Target::SimLine => self.params.pack_simline_query_into(x, &r, &mut scratch.query),
-        }
-        ctx.query_into(&scratch.query.as_view(), &mut scratch.answer)?;
-        let l = match self.target {
-            Target::Line => self.params.extract_pointer(&scratch.answer),
-            // SimLine answers are (r, z): the chain value leads, and the
-            // pointer is unused (the schedule is public).
-            Target::SimLine => 0,
-        };
-        // The chain field of the answer becomes the next step's r. Copy it
-        // out (u bits into a reused buffer) so the answer buffer is free to
-        // be overwritten by the next query.
-        let r_off = match self.target {
-            Target::Line => self.params.l_width(),
-            Target::SimLine => 0,
-        };
-        scratch.r.clear();
-        scratch.r.extend_from_view(&scratch.answer.view(r_off, self.params.u));
-        Ok(l)
     }
 }
 
 /// Reusable buffers for the token walk: the chain value, the packed query,
 /// and the oracle answer. One instance lives per `round` call; every
 /// advance reuses the same three allocations.
-struct WalkScratch {
-    r: BitVec,
+pub(super) struct WalkScratch {
+    /// The chain value `r` of the next node.
+    pub(super) r: BitVec,
     query: BitVec,
-    answer: BitVec,
+    /// The last oracle answer: the function output once node `w` is done.
+    pub(super) answer: BitVec,
+}
+
+impl WalkScratch {
+    /// Scratch for a walk whose next chain value is `r`.
+    pub(super) fn new(r: &BitSlice<'_>) -> Self {
+        WalkScratch { r: r.to_bitvec(), query: BitVec::new(), answer: BitVec::new() }
+    }
+
+    /// One oracle step: query node `i` of `target` with block `x` and
+    /// chain `self.r`, updating the buffers in place and returning the new
+    /// pointer `ℓ`. Steady-state advances touch only the three reused
+    /// buffers — no allocation per step.
+    pub(super) fn advance(
+        &mut self,
+        params: &LineParams,
+        target: Target,
+        ctx: &RoundCtx<'_>,
+        i: u64,
+        x: &BitSlice<'_>,
+    ) -> Result<usize, ModelViolation> {
+        let r = self.r.as_view();
+        match target {
+            Target::Line => params.pack_query_into(i, x, &r, &mut self.query),
+            Target::SimLine => params.pack_simline_query_into(x, &r, &mut self.query),
+        }
+        ctx.query_into(&self.query.as_view(), &mut self.answer)?;
+        let (l, r_off) = match target {
+            Target::Line => (params.extract_pointer(&self.answer), params.l_width()),
+            // SimLine answers are (r, z): the chain value leads, and the
+            // pointer is unused (the schedule is public).
+            Target::SimLine => (0, 0),
+        };
+        // The chain field of the answer becomes the next step's r. Copy it
+        // out (u bits into a reused buffer) so the answer buffer is free to
+        // be overwritten by the next query.
+        self.r.clear();
+        self.r.extend_from_view(&self.answer.view(r_off, params.u));
+        Ok(l)
+    }
 }
 
 impl MachineLogic for Pipeline {
@@ -218,14 +226,12 @@ impl MachineLogic for Pipeline {
         for msg in incoming.iter() {
             if let Some(records) = self.codec.bundle_records(&msg.payload) {
                 for k in 0..records {
-                    match self.codec.decode_view(self.codec.bundle_record(&msg.payload, k)) {
-                        Some(ParsedView::Block { .. }) => {}
-                        _ => {
-                            return Err(ctx.error(format!(
-                                "malformed block record in bundle ({} bits) in memory",
-                                msg.payload.len()
-                            )))
-                        }
+                    let record = self.codec.bundle_record(&msg.payload, k);
+                    if self.codec.block_record_index(&record).is_none() {
+                        return Err(ctx.error(format!(
+                            "malformed block record in bundle ({} bits) in memory",
+                            msg.payload.len()
+                        )));
                     }
                 }
                 holds_blocks = true;
@@ -256,31 +262,29 @@ impl MachineLogic for Pipeline {
         // query, and oracle answer cycle through one reused buffer each, so
         // a multi-advance visit allocates only on its first step.
         if let Some((mut i, mut l, r)) = token {
-            // A second decode pass builds the block index — decoding a view
-            // is a header parse, and re-walking the one token holder's
-            // inbox is far cheaper than allocating an index on the
-            // machines that never consult one.
+            // A second pass builds the block index — one header read per
+            // record, and re-walking the one token holder's inbox is far
+            // cheaper than allocating an index on the machines that never
+            // consult one.
             let mut local: Vec<Option<BitSlice<'_>>> = vec![None; self.params.v];
             for msg in incoming.iter() {
                 let Some(records) = self.codec.bundle_records(&msg.payload) else {
                     continue;
                 };
                 for k in 0..records {
-                    if let Some(ParsedView::Block { idx, x }) =
-                        self.codec.decode_view(self.codec.bundle_record(&msg.payload, k))
-                    {
-                        local[idx] = Some(x);
+                    let record = self.codec.bundle_record(&msg.payload, k);
+                    if let Some(idx) = self.codec.block_record_index(&record) {
+                        local[idx] = Some(self.codec.block_record_body(&record));
                     }
                 }
             }
-            let mut scratch =
-                WalkScratch { r: r.to_bitvec(), query: BitVec::new(), answer: BitVec::new() };
+            let mut scratch = WalkScratch::new(&r);
             loop {
                 debug_assert!(i <= self.params.w, "token index past the line");
-                let needed = self.needed_block(i, l);
+                let needed = self.target.needed_block(&self.params, i, l);
                 match &local[needed] {
                     Some(x) => {
-                        l = self.advance(ctx, i, x, &mut scratch)?;
+                        l = scratch.advance(&self.params, self.target, ctx, i, x)?;
                         i += 1;
                         if i > self.params.w {
                             // The answer to query w is the function output.

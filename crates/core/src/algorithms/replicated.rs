@@ -35,10 +35,10 @@
 //!
 //! [`RunResult::unanimous_output`]: mph_mpc::RunResult::unanimous_output
 
-use super::pipeline::Target;
-use super::{BlockAssignment, Codec, ParsedMsg};
+use super::pipeline::{Target, WalkScratch};
+use super::{BlockAssignment, Codec, ParsedView};
 use crate::params::LineParams;
-use mph_bits::BitVec;
+use mph_bits::{BitSlice, BitVec};
 use mph_mpc::{Inbox, MachineLogic, ModelViolation, Outbox, RoundCtx, Simulation};
 use mph_oracle::{Oracle, RandomTape};
 use std::sync::Arc;
@@ -48,10 +48,11 @@ pub const FRAME_CHECK_BITS: usize = 32;
 
 /// A 32-bit checksum over a payload's words and length (splitmix64-style
 /// mixing, folded to 32 bits). One flipped bit anywhere in the frame —
-/// payload or checksum field — makes verification fail.
-fn checksum(bits: &BitVec) -> u32 {
+/// payload or checksum field — makes verification fail. The words are
+/// read in place (`BitSlice::read_word`), at any arena offset.
+fn checksum(bits: &BitSlice<'_>) -> u32 {
     let mut h = 0x9E37_79B9_7F4A_7C15u64 ^ (bits.len() as u64);
-    for &w in bits.words() {
+    for w in (0..bits.n_words()).map(|i| bits.read_word(i)) {
         h = (h ^ w).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= h >> 27;
     }
@@ -133,13 +134,15 @@ impl ReplicatedPipeline {
 
     /// Wraps `inner` in a checksum frame.
     fn frame(&self, inner: &BitVec) -> BitVec {
-        let mut framed = BitVec::from_u64(u64::from(checksum(inner)), FRAME_CHECK_BITS);
+        let mut framed = BitVec::from_u64(u64::from(checksum(&inner.as_view())), FRAME_CHECK_BITS);
         framed.extend_bits(inner);
         framed
     }
 
-    /// Verifies and strips the checksum frame; `None` on any mismatch.
-    fn unframe(&self, payload: &BitVec) -> Option<BitVec> {
+    /// Verifies and strips the checksum frame, zero-copy: the inner
+    /// message stays a view into `payload`'s arena. `None` on any
+    /// mismatch.
+    fn unframe<'a>(&self, payload: BitSlice<'a>) -> Option<BitSlice<'a>> {
         if payload.len() <= FRAME_CHECK_BITS {
             return None;
         }
@@ -215,38 +218,6 @@ impl ReplicatedPipeline {
             sim.seed_memory(machine, token.clone());
         }
     }
-
-    /// The block needed by node `i` when the current pointer is `l`.
-    fn needed_block(&self, i: u64, l: usize) -> usize {
-        match self.target {
-            Target::Line => l,
-            Target::SimLine => ((i - 1) % self.params.v as u64) as usize,
-        }
-    }
-
-    /// One oracle step (identical on every replica — the queries are a
-    /// deterministic function of the token, so lock-step needs no
-    /// coordination traffic).
-    fn advance(
-        &self,
-        ctx: &RoundCtx<'_>,
-        i: u64,
-        x: &BitVec,
-        r: &BitVec,
-    ) -> Result<(usize, BitVec, BitVec), ModelViolation> {
-        let query = match self.target {
-            Target::Line => self.params.pack_query(i, x, r),
-            Target::SimLine => self.params.pack_simline_query(x, r),
-        };
-        let answer = ctx.query(&query)?;
-        let (l, r_next) = match self.target {
-            Target::Line => {
-                (self.params.extract_pointer(&answer), self.params.extract_chain(&answer))
-            }
-            Target::SimLine => (0, answer.slice(0, self.params.u)),
-        };
-        Ok((l, r_next, answer))
-    }
 }
 
 impl MachineLogic for ReplicatedPipeline {
@@ -265,25 +236,24 @@ impl MachineLogic for ReplicatedPipeline {
         // detected error rather than be dropped into a silent stall.
         // Window blocks are persisted by forwarding the verified framed
         // wire view verbatim — no re-encode, no re-frame.
-        let mut local: Vec<Option<BitVec>> = vec![None; self.params.v];
-        let mut token: Option<(u64, usize, BitVec)> = None;
+        let mut local: Vec<Option<BitSlice<'_>>> = vec![None; self.params.v];
+        let mut token: Option<(u64, usize, BitSlice<'_>)> = None;
         for msg in incoming.iter() {
-            let payload = msg.payload.to_bitvec();
-            let Some(inner) = self.unframe(&payload) else {
+            let Some(inner) = self.unframe(msg.payload) else {
                 if self.rho == 1 {
                     return Err(ctx.error(format!(
                         "checksum mismatch on {}-bit message with no replica to recover from",
-                        payload.len()
+                        msg.payload.len()
                     )));
                 }
                 continue;
             };
-            match self.codec.decode(&inner) {
-                Some(ParsedMsg::Block { idx, x }) => {
+            match self.codec.decode_view(inner) {
+                Some(ParsedView::Block { idx, x }) => {
                     local[idx] = Some(x);
                     out.push_view(me, msg.payload);
                 }
-                Some(ParsedMsg::Token { i, l, r }) => {
+                Some(ParsedView::Token { i, l, r }) => {
                     // Keep the most advanced copy; stale straggler
                     // duplicates lose.
                     if token.as_ref().is_none_or(|(best, _, _)| i > *best) {
@@ -300,16 +270,16 @@ impl MachineLogic for ReplicatedPipeline {
             }
         }
 
-        // Walk the line as far as local blocks allow.
-        if let Some((mut i, mut l, mut r)) = token {
+        // Walk the line as far as local blocks allow, through the reused
+        // buffers of the plain pipeline's walk.
+        if let Some((mut i, mut l, r)) = token {
+            let mut scratch = WalkScratch::new(&r);
             loop {
                 debug_assert!(i <= self.params.w, "token index past the line");
-                let needed = self.needed_block(i, l);
+                let needed = self.target.needed_block(&self.params, i, l);
                 match &local[needed] {
                     Some(x) => {
-                        let (l_next, r_next, answer) = self.advance(ctx, i, x, &r)?;
-                        l = l_next;
-                        r = r_next;
+                        l = scratch.advance(&self.params, self.target, ctx, i, x)?;
                         i += 1;
                         if i > self.params.w {
                             // Done: drop window persistence (no next round
@@ -317,7 +287,7 @@ impl MachineLogic for ReplicatedPipeline {
                             // replica of this group does the same, so the
                             // output union is ρ identical strings.
                             out.retain_sends(|to| to != me);
-                            out.emit(answer);
+                            out.emit(scratch.answer);
                             break;
                         }
                     }
@@ -333,14 +303,14 @@ impl MachineLogic for ReplicatedPipeline {
                                      from"
                                 )));
                             }
-                            let framed = self.frame(&self.codec.encode_token(i, l, &r));
+                            let framed = self.frame(&self.codec.encode_token(i, l, &scratch.r));
                             for sibling in self.members(my_group) {
                                 if sibling != me {
                                     out.push(sibling, &framed);
                                 }
                             }
                         } else {
-                            let framed = self.frame(&self.codec.encode_token(i, l, &r));
+                            let framed = self.frame(&self.codec.encode_token(i, l, &scratch.r));
                             for member in self.members(dest_group) {
                                 out.push(member, &framed);
                             }
@@ -545,13 +515,17 @@ mod tests {
         let inner = pipeline.codec.encode_token(3, 1, &BitVec::ones(16));
         let framed = pipeline.frame(&inner);
         assert_eq!(framed.len(), inner.len() + FRAME_CHECK_BITS);
-        assert_eq!(pipeline.unframe(&framed), Some(inner));
+        assert_eq!(pipeline.unframe(framed.as_view()), Some(inner.as_view()));
         for bit in [0, FRAME_CHECK_BITS - 1, FRAME_CHECK_BITS, framed.len() - 1] {
             let mut tampered = framed.clone();
             tampered.set(bit, !tampered.get(bit));
-            assert_eq!(pipeline.unframe(&tampered), None, "flip at {bit} must be caught");
+            assert_eq!(pipeline.unframe(tampered.as_view()), None, "flip at {bit} must be caught");
         }
-        assert_eq!(pipeline.unframe(&BitVec::zeros(FRAME_CHECK_BITS)), None);
+        assert_eq!(pipeline.unframe(BitVec::zeros(FRAME_CHECK_BITS).as_view()), None);
+        // A frame read out of an arena at an unaligned offset verifies too.
+        let mut arena = BitVec::ones(13);
+        arena.extend_bits(&framed);
+        assert_eq!(pipeline.unframe(arena.view(13, framed.len())), Some(inner.as_view()));
     }
 
     #[test]

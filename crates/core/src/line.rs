@@ -57,9 +57,24 @@ impl Line {
         &self.params
     }
 
-    /// Evaluates the function natively (the reference semantics).
+    /// Evaluates the function natively (the reference semantics): the
+    /// same queries as [`Line::trace`], in the same order, through one
+    /// reused query buffer and one reused answer buffer, recording nothing.
     pub fn eval<O: Oracle + ?Sized>(&self, oracle: &O, blocks: &[BitVec]) -> BitVec {
-        self.trace(oracle, blocks).output
+        let p = &self.params;
+        p.check_blocks(blocks);
+        let mut l = 0usize;
+        let mut r = BitVec::zeros(p.u);
+        let mut query = BitVec::with_capacity(p.n);
+        let mut answer = BitVec::with_capacity(p.n);
+        for i in 1..=p.w {
+            p.pack_query_into(i, &blocks[l].as_view(), &r.as_view(), &mut query);
+            oracle.query_into(&query.as_view(), &mut answer);
+            l = p.extract_pointer(&answer);
+            r.clear();
+            r.extend_from_view(&answer.view(p.l_width(), p.u));
+        }
+        answer
     }
 
     /// Evaluates and records the full trace (every node's pointer, chain
@@ -67,10 +82,7 @@ impl Line {
     /// correct-entry sets `C^{(k)}` of the lower-bound proof.
     pub fn trace<O: Oracle + ?Sized>(&self, oracle: &O, blocks: &[BitVec]) -> EvalTrace {
         let p = &self.params;
-        assert_eq!(blocks.len(), p.v, "expected v = {} blocks", p.v);
-        for (j, b) in blocks.iter().enumerate() {
-            assert_eq!(b.len(), p.u, "block {j} is not u = {} bits", p.u);
-        }
+        p.check_blocks(blocks);
         let mut l = 0usize;
         let mut r = BitVec::zeros(p.u);
         let mut nodes = Vec::with_capacity(p.w as usize);

@@ -11,7 +11,7 @@
 //! encoders, and the bound calculators all read field widths from the same
 //! place, so the bit conventions cannot drift apart.
 
-use mph_bits::{bits_for_index, BitSlice, BitVec, FieldValue, Layout};
+use mph_bits::{bits_for_index, BitSlice, BitVec, Layout};
 use mph_ram::LineShape;
 use serde::{Deserialize, Serialize};
 
@@ -91,6 +91,15 @@ impl LineParams {
         self.u * self.v
     }
 
+    /// Checks that `blocks` is an input of this instance: `v` blocks of
+    /// `u` bits each. Panics otherwise.
+    pub(crate) fn check_blocks(&self, blocks: &[BitVec]) {
+        assert_eq!(blocks.len(), self.v, "expected v = {} blocks", self.v);
+        for (j, b) in blocks.iter().enumerate() {
+            assert_eq!(b.len(), self.u, "block {j} is not u = {} bits", self.u);
+        }
+    }
+
     /// Width of the pointer field `ℓ`: `⌈log v⌉` bits (Table 3).
     pub fn l_width(&self) -> usize {
         bits_for_index(self.v as u64) as usize
@@ -133,23 +142,27 @@ impl LineParams {
             .expect("validated params always fit")
     }
 
-    /// Packs a `Line` query `(i, x, r, 0^*)`.
+    /// Packs a `Line` query `(i, x, r, 0^*)` into a new buffer, laid out
+    /// as [`Self::query_layout`] describes.
     pub fn pack_query(&self, i: u64, x: &BitVec, r: &BitVec) -> BitVec {
-        self.query_layout()
-            .pack(&[FieldValue::Int(i), x.into(), r.into()])
-            .expect("query fields sized by params")
+        let mut out = BitVec::with_capacity(self.n);
+        self.pack_query_into(i, &x.as_view(), &r.as_view(), &mut out);
+        out
     }
 
-    /// Packs a `SimLine` query `(x, r, 0^*)`.
+    /// Packs a `SimLine` query `(x, r, 0^*)` into a new buffer, laid out
+    /// as [`Self::simline_query_layout`] describes.
     pub fn pack_simline_query(&self, x: &BitVec, r: &BitVec) -> BitVec {
-        self.simline_query_layout()
-            .pack(&[x.into(), r.into()])
-            .expect("query fields sized by params")
+        let mut out = BitVec::with_capacity(self.n);
+        self.pack_simline_query_into(&x.as_view(), &r.as_view(), &mut out);
+        out
     }
 
     /// Packs a `Line` query `(i, x, r, 0^*)` into `out`, reusing its
-    /// allocation. Byte-identical to [`Self::pack_query`]; `x` and `r` are
-    /// borrowed views, so hot walks never materialize owned blocks.
+    /// allocation: the one `Line` query packer, [`Self::pack_query`]
+    /// included. `x` and `r` are borrowed views, so hot walks never
+    /// materialize owned blocks. Panics when `i` does not fit the index
+    /// field or a view is not `u` bits wide.
     pub fn pack_query_into(&self, i: u64, x: &BitSlice<'_>, r: &BitSlice<'_>, out: &mut BitVec) {
         assert_eq!(x.len(), self.u, "block width mismatch");
         assert_eq!(r.len(), self.u, "chain width mismatch");
@@ -161,7 +174,8 @@ impl LineParams {
     }
 
     /// Packs a `SimLine` query `(x, r, 0^*)` into `out`, reusing its
-    /// allocation. Byte-identical to [`Self::pack_simline_query`].
+    /// allocation: the one `SimLine` query packer. Panics when a view is
+    /// not `u` bits wide.
     pub fn pack_simline_query_into(&self, x: &BitSlice<'_>, r: &BitSlice<'_>, out: &mut BitVec) {
         assert_eq!(x.len(), self.u, "block width mismatch");
         assert_eq!(r.len(), self.u, "chain width mismatch");
@@ -258,6 +272,7 @@ impl RegimeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mph_bits::FieldValue;
 
     #[test]
     fn table3_derivation() {
@@ -286,9 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn pack_into_matches_allocating_pack() {
-        // The reusable-buffer packers must be byte-identical to the layout
-        // path, including for unaligned views and across buffer reuse.
+    fn pack_into_matches_the_layouts() {
+        // The packers must be byte-identical to the documented layouts,
+        // including for unaligned views and across buffer reuse.
         let p = LineParams::new(64, 100, 15, 10);
         let mut arena = BitVec::zeros(3);
         let x = BitVec::from_u64(0x5A5A, 15);
@@ -296,12 +311,23 @@ mod tests {
         arena.extend_from_view(&x.as_view());
         arena.extend_from_view(&r.as_view());
         let (xv, rv) = (arena.view(3, 15), arena.view(18, 15));
+        let line = p.query_layout().pack(&[FieldValue::Int(37), (&x).into(), (&r).into()]).unwrap();
+        let simline = p.simline_query_layout().pack(&[(&x).into(), (&r).into()]).unwrap();
 
         let mut out = BitVec::from_u64(u64::MAX, 64); // dirty buffer
         p.pack_query_into(37, &xv, &rv, &mut out);
-        assert_eq!(out, p.pack_query(37, &x, &r));
+        assert_eq!(out, line);
+        assert_eq!(p.pack_query(37, &x, &r), line);
         p.pack_simline_query_into(&xv, &rv, &mut out);
-        assert_eq!(out, p.pack_simline_query(&x, &r));
+        assert_eq!(out, simline);
+        assert_eq!(p.pack_simline_query(&x, &r), simline);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn pack_query_rejects_an_index_wider_than_its_field() {
+        let p = LineParams::new(64, 100, 16, 10);
+        p.pack_query(1 << p.i_width(), &BitVec::zeros(16), &BitVec::zeros(16));
     }
 
     #[test]

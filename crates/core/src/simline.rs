@@ -61,18 +61,33 @@ impl SimLine {
         ((i - 1) % self.params.v as u64) as usize
     }
 
-    /// Evaluates the function natively.
+    /// Evaluates the function natively: the same queries as
+    /// [`SimLine::trace`], in the same order, through one reused query
+    /// buffer and one reused answer buffer, recording nothing.
     pub fn eval<O: Oracle + ?Sized>(&self, oracle: &O, blocks: &[BitVec]) -> BitVec {
-        self.trace(oracle, blocks).output
+        let p = &self.params;
+        p.check_blocks(blocks);
+        let mut r = BitVec::zeros(p.u);
+        let mut query = BitVec::with_capacity(p.n);
+        let mut answer = BitVec::with_capacity(p.n);
+        for i in 1..=p.w {
+            p.pack_simline_query_into(
+                &blocks[self.block_for(i)].as_view(),
+                &r.as_view(),
+                &mut query,
+            );
+            oracle.query_into(&query.as_view(), &mut answer);
+            // SimLine answers are (r_{i+1}, z): the chain value leads.
+            r.clear();
+            r.extend_from_view(&answer.view(0, p.u));
+        }
+        answer
     }
 
     /// Evaluates and records the full trace.
     pub fn trace<O: Oracle + ?Sized>(&self, oracle: &O, blocks: &[BitVec]) -> EvalTrace {
         let p = &self.params;
-        assert_eq!(blocks.len(), p.v, "expected v = {} blocks", p.v);
-        for (j, b) in blocks.iter().enumerate() {
-            assert_eq!(b.len(), p.u, "block {j} is not u = {} bits", p.u);
-        }
+        p.check_blocks(blocks);
         let mut r = BitVec::zeros(p.u);
         let mut nodes = Vec::with_capacity(p.w as usize);
         let mut answer = BitVec::zeros(p.n);

@@ -4,6 +4,7 @@
 use mpc_hardness::core::algorithms::pipeline::{Pipeline, Target};
 use mpc_hardness::core::algorithms::BlockAssignment;
 use mpc_hardness::core::{theorem, Line, LineParams, SimLine};
+use mpc_hardness::oracle::TranscriptOracle;
 use mpc_hardness::prelude::*;
 use proptest::prelude::*;
 
@@ -88,6 +89,34 @@ proptest! {
             prop_assert!(node.block < v);
             prop_assert_eq!(node.query.len(), 64);
             prop_assert_eq!(node.answer.len(), 64);
+        }
+    }
+
+    /// `eval` asks exactly the queries its trace records, in order, and
+    /// returns the trace's output, for `Line` and `SimLine` at unaligned
+    /// field widths too: the trace stays the reference evaluation.
+    #[test]
+    fn eval_matches_trace(
+        w in 1u64..60,
+        v in 2usize..16,
+        u in 9usize..40,
+        seed in any::<u64>(),
+    ) {
+        let params = LineParams::new((2 * u + 16).max(3 * u), w, u, v);
+        let (oracle, blocks) = theorem::draw_instance(&params, seed);
+        for simline in [false, true] {
+            let recorded = TranscriptOracle::new(oracle.clone());
+            let (output, trace) = if simline {
+                let f = SimLine::new(params);
+                (f.eval(&recorded, &blocks), f.trace(&*oracle, &blocks))
+            } else {
+                let f = Line::new(params);
+                (f.eval(&recorded, &blocks), f.trace(&*oracle, &blocks))
+            };
+            prop_assert_eq!(output, trace.output);
+            let asked: Vec<BitVec> = recorded.transcript().into_iter().map(|q| q.input).collect();
+            let traced: Vec<BitVec> = trace.nodes.into_iter().map(|node| node.query).collect();
+            prop_assert_eq!(asked, traced);
         }
     }
 
