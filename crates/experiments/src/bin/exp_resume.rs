@@ -3,10 +3,12 @@
 //! Runs one grid three ways and proves durability end to end:
 //!
 //! 1. **baseline** — the plain [`sweep::run_sweep`] path, uninterrupted;
-//! 2. **interrupted** — the checkpointed path, killed mid-grid (the
-//!    simulated SIGKILL of `checkpoint::run_sweep_checkpointed_with_abort`,
-//!    recorded in telemetry as a `checkpoint_abort` fault — see
-//!    `mph_mpc::faults::FaultKind::Checkpoint`);
+//! 2. **interrupted** — the checkpointed path, killed mid-grid: the
+//!    simulated SIGKILL of `checkpoint::run_sweep_checkpointed_observed`
+//!    with `abort_after`, which stops `checkpoint::run_cells` — the one
+//!    loop every checkpointed sweep and every `mphd` session runs
+//!    through — at a batch boundary; recorded in telemetry as a
+//!    `checkpoint_abort` fault (see `mph_mpc::faults::FaultKind::Checkpoint`);
 //! 3. **resumed** — the checkpointed path again, which loads the flushed
 //!    cells from `target/checkpoints/exp_resume` and computes the rest.
 //!
@@ -202,8 +204,12 @@ fn main() {
         // A fresh cycle starts from a clean directory, exactly like a
         // first-ever run of the experiment.
         checkpoint::clean_dir(&ckpt.dir);
-        let aborted =
-            checkpoint::run_sweep_checkpointed_with_abort(grid(&args), &ckpt, Some(abort_after));
+        let aborted = checkpoint::run_sweep_checkpointed_observed(
+            grid(&args),
+            &ckpt,
+            Some(abort_after),
+            &mut |_, _| {},
+        );
         assert!(aborted.is_none(), "the simulated kill must abort the sweep mid-grid");
         eprintln!(
             "interrupted: checkpoint flushed to {} (manifest + completed cells)",

@@ -22,7 +22,7 @@
 
 use mph_core::theorem::{self, RetryPolicy, RoundMeasurement};
 use mph_experiments::setup::{fmt, SweepArgs};
-use mph_experiments::shard::{self, measure_sharded, ShardSpec};
+use mph_experiments::shard::{self, ShardSpec, ShardedRunner};
 use mph_experiments::Report;
 use mph_metrics::json::Json;
 use mph_metrics::{MetricsSink, Recorder};
@@ -82,7 +82,8 @@ fn measure_shard_count(
     let start = Instant::now();
     for (t, expected) in reference.iter().enumerate() {
         let s = spec(base_seed + t as u64);
-        let got = measure_sharded(&s, &cfg, MAX_ROUNDS, None)
+        let got = ShardedRunner::new(cfg.clone(), None)
+            .measure(&s, MAX_ROUNDS)
             .unwrap_or_else(|e| panic!("{shards} shards, clean trial {t}: {e}"));
         assert_eq!(&got, expected, "{shards} shards, clean trial {t}: transcript diverged");
     }
@@ -99,7 +100,8 @@ fn measure_shard_count(
         let mut killed = cfg.clone();
         killed.kills =
             vec![KillSpec { round: 1 + t % 2, worker: (base_seed as usize + t) % shards }];
-        let got = measure_sharded(&s, &killed, MAX_ROUNDS, Some(sink.clone()))
+        let got = ShardedRunner::new(killed, Some(sink.clone()))
+            .measure(&s, MAX_ROUNDS)
             .unwrap_or_else(|e| panic!("{shards} shards, killed trial {t}: {e}"));
         assert_eq!(&got, expected, "{shards} shards, killed trial {t}: recovery diverged");
     }

@@ -6,28 +6,25 @@
 //! [`CellResult`] (measurements, mean, retry count, telemetry snapshot)
 //! is serialized into `cell_<idx>.bin` using the workspace snapshot
 //! container (`mph_oracle::snapshot` — versioned, checksummed,
-//! dependency-free), and a two-file manifest is rewritten:
+//! dependency-free), and `manifest.bin` is rewritten: the checkpoint
+//! cadence, the grid size, and the `(index, payload-CRC32)` pairs of
+//! completed cells. Resume reads only this binary (the workspace has no
+//! JSON parser by design — see docs/OBSERVABILITY.md).
 //!
-//! * `manifest.bin` — the machine-read record: checkpoint cadence, grid
-//!   size, and the `(index, payload-CRC32)` pairs of completed cells.
-//!   Resume reads **only** this binary (the workspace has no JSON
-//!   parser by design — see docs/OBSERVABILITY.md).
-//! * `manifest.json` — the human-read mirror of the same facts, written
-//!   with the report machinery so operators can inspect progress.
-//!
-//! [`run_sweep_checkpointed`] then resumes for free: completed cells are
-//! loaded (CRC-verified against the manifest digest and label-checked
-//! against the requested grid; any mismatch silently falls back to
-//! recomputation) and only the remaining cells are run. Because every
-//! trial is a pure function of `(pipeline, seed)` — the sweep engine's
-//! determinism contract — a resumed sweep's results are **byte-identical**
-//! to an uninterrupted run, across thread counts. `exp_resume` (E13)
-//! asserts exactly that, end to end, through a simulated mid-grid kill.
+//! [`run_cells`] is the one loop that streams, stops and persists cells;
+//! every checkpointed sweep and every `mphd` session runs through it and
+//! differs only in how it computes a batch. Resume comes for free:
+//! completed cells are loaded (CRC-verified against the manifest digest
+//! and label-checked against the requested grid; any mismatch silently
+//! falls back to recomputation) and only the remaining cells are run.
+//! Because every trial is a pure function of `(pipeline, seed)` — the
+//! sweep engine's determinism contract — a resumed sweep's results are
+//! **byte-identical** to an uninterrupted run, across thread counts.
+//! `exp_resume` (E13) asserts exactly that, end to end, through a
+//! simulated mid-grid kill.
 
 use crate::sweep::{self, Cell, CellResult, CellStatus};
 use mph_core::theorem::RoundMeasurement;
-use mph_metrics::json::Json;
-use mph_metrics::report::write_report_to;
 use mph_metrics::{MetricsSnapshot, OracleTotals, RamTotals, RoundSnapshot, Totals};
 use mph_oracle::snapshot::crc32;
 use mph_oracle::{SnapshotError, SnapshotReader, SnapshotWriter};
@@ -48,7 +45,7 @@ pub const DEFAULT_EVERY: usize = 4;
 /// Where and how often a sweep checkpoints.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointConfig {
-    /// Directory holding `cell_<idx>.bin` payloads and the manifests.
+    /// Directory holding `cell_<idx>.bin` payloads and `manifest.bin`.
     pub dir: PathBuf,
     /// Flush cadence in completed cells (clamped to ≥ 1).
     pub every: usize,
@@ -67,10 +64,6 @@ impl CheckpointConfig {
 
     fn manifest_bin(&self) -> PathBuf {
         self.dir.join("manifest.bin")
-    }
-
-    fn manifest_json(&self) -> PathBuf {
-        self.dir.join("manifest.json")
     }
 }
 
@@ -300,28 +293,10 @@ fn warn_io(what: &str, path: &Path, err: &std::io::Error) {
     eprintln!("warning: checkpoint {what} {} failed: {err} (continuing without)", path.display());
 }
 
-fn write_manifests(ckpt: &CheckpointConfig, total: usize, entries: &[ManifestEntry]) {
+fn write_manifest(ckpt: &CheckpointConfig, total: usize, entries: &[ManifestEntry]) {
     let bin = encode_manifest(ckpt.every, total, entries);
     if let Err(e) = std::fs::write(ckpt.manifest_bin(), &bin) {
         warn_io("manifest write", &ckpt.manifest_bin(), &e);
-    }
-    let doc = Json::object([
-        ("schema_version", Json::u64(1)),
-        ("every", Json::u64(ckpt.every as u64)),
-        ("cells", Json::u64(total as u64)),
-        ("completed", Json::array(entries.iter().map(|e| Json::u64(e.index as u64)))),
-        (
-            "digests",
-            Json::Object(
-                entries
-                    .iter()
-                    .map(|e| (e.index.to_string(), Json::u64(u64::from(e.digest))))
-                    .collect(),
-            ),
-        ),
-    ]);
-    if let Err(e) = write_report_to(ckpt.manifest_json(), &doc) {
-        warn_io("manifest mirror write", &ckpt.manifest_json(), &e);
     }
 }
 
@@ -330,15 +305,15 @@ fn write_manifests(ckpt: &CheckpointConfig, total: usize, entries: &[ManifestEnt
 /// the requested grid. Anything missing, corrupt, or mismatched simply
 /// comes back `None` — resume then recomputes that cell, so a damaged
 /// checkpoint degrades to extra work, never to wrong results.
-fn load_completed(ckpt: &CheckpointConfig, cells: &[Cell]) -> Vec<Option<CellResult>> {
-    let mut slots: Vec<Option<CellResult>> = cells.iter().map(|_| None).collect();
+fn load_completed(ckpt: &CheckpointConfig, labels: &[String]) -> Vec<Option<CellResult>> {
+    let mut slots: Vec<Option<CellResult>> = labels.iter().map(|_| None).collect();
     let Ok(bytes) = std::fs::read(ckpt.manifest_bin()) else {
         return slots;
     };
     let Ok((_, total, entries)) = decode_manifest(&bytes) else {
         return slots;
     };
-    if total != cells.len() {
+    if total != labels.len() {
         // A manifest for a different grid (e.g. --quick vs full scale):
         // nothing in it can be trusted for this run.
         return slots;
@@ -353,7 +328,7 @@ fn load_completed(ckpt: &CheckpointConfig, cells: &[Cell]) -> Vec<Option<CellRes
         let Ok(result) = decode_cell_result(&payload) else {
             continue;
         };
-        if result.label != cells[entry.index].label {
+        if result.label != labels[entry.index] {
             continue;
         }
         slots[entry.index] = Some(result);
@@ -364,11 +339,11 @@ fn load_completed(ckpt: &CheckpointConfig, cells: &[Cell]) -> Vec<Option<CellRes
 /// [`sweep::run_sweep`] with durable checkpoints: previously completed
 /// cells are loaded from `ckpt.dir` and skipped, the remaining cells run
 /// in batches of [`CheckpointConfig::every`], and after each batch the
-/// payloads and both manifests are flushed. The returned results are
+/// payloads and the manifest are flushed. The returned results are
 /// byte-identical to `run_sweep(cells)` — resume changes *when* work
 /// happens, never what it computes.
 pub fn run_sweep_checkpointed(cells: Vec<Cell>, ckpt: &CheckpointConfig) -> Vec<CellResult> {
-    run_sweep_checkpointed_with_abort(cells, ckpt, None)
+    run_sweep_checkpointed_observed(cells, ckpt, None, &mut |_, _| {})
         .expect("no abort was requested, so the sweep runs to completion")
 }
 
@@ -388,116 +363,122 @@ pub fn run_sweep_with_args(
     }
 }
 
-/// [`run_sweep_checkpointed`] with a simulated mid-grid kill: when
-/// `abort_after = Some(j)`, the run stops (returning `None`) at the
-/// first checkpoint flush after `j` cells have been computed in *this*
-/// process, leaving the directory exactly as a SIGKILL at that moment
-/// would. `exp_resume` (E13) uses this to prove kill-and-resume
-/// byte-identity without needing an actual kill.
-pub fn run_sweep_checkpointed_with_abort(
-    cells: Vec<Cell>,
-    ckpt: &CheckpointConfig,
-    abort_after: Option<usize>,
-) -> Option<Vec<CellResult>> {
-    run_sweep_checkpointed_observed(cells, ckpt, abort_after, &mut |_, _| {})
-}
-
-/// [`run_sweep_checkpointed_with_abort`] with a per-cell progress
-/// observer: `observer(index, result)` fires once per cell as it becomes
-/// final — first for every cell resumed from the checkpoint directory
-/// (in index order), then for each newly computed cell as its batch
-/// flushes. The `mphd` session loop streams these as JSONL progress
-/// events; the emission order is a deterministic function of the
-/// checkpoint contents and the grid, never of thread scheduling.
+/// [`run_sweep_checkpointed`] with a per-cell progress observer and an
+/// optional simulated mid-grid kill: [`run_cells`] over in-process
+/// [`sweep::run_sweep`] batches. When `abort_after = Some(j)` with
+/// `j ≥ 1`, the run stops (returning `None`) at the first batch boundary
+/// after `j` cells have been computed in *this* process, leaving the
+/// directory exactly as a SIGKILL at that moment would. `exp_resume`
+/// (E13) uses this to prove kill-and-resume byte-identity without
+/// needing an actual kill.
 pub fn run_sweep_checkpointed_observed(
     cells: Vec<Cell>,
     ckpt: &CheckpointConfig,
     abort_after: Option<usize>,
     observer: &mut dyn FnMut(usize, &CellResult),
 ) -> Option<Vec<CellResult>> {
-    run_checkpointed_inner(cells, ckpt, abort_after, None, observer)
+    let labels: Vec<String> = cells.iter().map(|c| c.label.clone()).collect();
+    let mut cells: Vec<Option<Cell>> = cells.into_iter().map(Some).collect();
+    run_cells(
+        &labels,
+        Some(ckpt),
+        &|computed| abort_after.is_some_and(|j| computed >= j),
+        &mut |batch| sweep::run_sweep(batch.iter().filter_map(|&i| cells[i].take()).collect()),
+        &|_| true,
+        observer,
+    )
 }
 
-/// [`run_sweep_checkpointed_observed`] with a cooperative cancel flag:
-/// the run stops (returning `None`) at the first batch boundary where
-/// `cancel` reads `true` — after the preceding batch's checkpoint flush,
-/// so everything already observed is written to disk and a later run of
-/// the same grid resumes it byte-identically. This is the engine under
-/// the daemon's `cancel` method.
-pub fn run_sweep_checkpointed_cancellable(
-    cells: Vec<Cell>,
-    ckpt: &CheckpointConfig,
-    cancel: Option<&std::sync::atomic::AtomicBool>,
+/// The one loop that streams, stops and persists the cells of a grid,
+/// named by `labels`.
+///
+/// With `ckpt`, cells already recorded in its directory are loaded
+/// first, the rest run in batches of [`CheckpointConfig::every`], and
+/// each batch's payloads and the manifest are flushed before the next
+/// batch starts. Without `ckpt`, nothing touches disk and every cell is
+/// its own batch.
+///
+/// `compute(batch)` returns the results of the cells at the given
+/// indices, in order; callers choose the engine (in-process
+/// [`sweep::run_sweep`], or one supervised worker fleet per cell).
+/// `persist(result)` says whether a newly computed result may be
+/// checkpointed: a refused one is observed and returned like any other,
+/// but never written, so the next run recomputes it.
+/// `stop(computed)` is asked before each batch with the number of cells
+/// computed so far in this call; `true` ends the run with `None`.
+/// `observer(index, result)` fires once per cell as it becomes final —
+/// first for every cell resumed from the checkpoint directory (in index
+/// order), then for each newly computed cell once its batch is in the
+/// manifest, so every persisted cell observed before a stop or a kill
+/// is resumed by a later run of the same grid, byte-identically. The
+/// emission order is a deterministic function of the checkpoint
+/// contents and the grid, never of thread scheduling.
+pub fn run_cells(
+    labels: &[String],
+    ckpt: Option<&CheckpointConfig>,
+    stop: &dyn Fn(usize) -> bool,
+    compute: &mut dyn FnMut(&[usize]) -> Vec<CellResult>,
+    persist: &dyn Fn(&CellResult) -> bool,
     observer: &mut dyn FnMut(usize, &CellResult),
 ) -> Option<Vec<CellResult>> {
-    run_checkpointed_inner(cells, ckpt, None, cancel, observer)
-}
-
-fn run_checkpointed_inner(
-    cells: Vec<Cell>,
-    ckpt: &CheckpointConfig,
-    abort_after: Option<usize>,
-    cancel: Option<&std::sync::atomic::AtomicBool>,
-    observer: &mut dyn FnMut(usize, &CellResult),
-) -> Option<Vec<CellResult>> {
-    let total = cells.len();
-    let every = ckpt.every.max(1);
-    if let Err(e) = std::fs::create_dir_all(&ckpt.dir) {
-        // No directory means no durability, not no results: the sweep
-        // still runs; flushes below will warn individually.
-        warn_io("directory creation", &ckpt.dir, &e);
-    }
-
-    let mut slots = load_completed(ckpt, &cells);
+    let total = labels.len();
+    let mut slots = match ckpt {
+        Some(ckpt) => {
+            if let Err(e) = std::fs::create_dir_all(&ckpt.dir) {
+                // No directory means no durability, not no results: the
+                // sweep still runs; flushes below will warn individually.
+                warn_io("directory creation", &ckpt.dir, &e);
+            }
+            load_completed(ckpt, labels)
+        }
+        None => labels.iter().map(|_| None).collect(),
+    };
+    // The cells whose payload this run loaded or wrote. Only these enter
+    // the manifest, so a refused result never does, whatever an earlier
+    // run left in its file.
+    let mut on_disk: Vec<bool> = slots.iter().map(Option::is_some).collect();
     for (i, slot) in slots.iter().enumerate() {
         if let Some(result) = slot {
             observer(i, result);
         }
     }
     let pending: Vec<usize> = (0..total).filter(|&i| slots[i].is_none()).collect();
-    let mut cells: Vec<Option<Cell>> = cells.into_iter().map(Some).collect();
+    let every = ckpt.map_or(1, |c| c.every.max(1));
 
     let mut computed = 0usize;
     for batch in pending.chunks(every) {
-        if cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed)) {
-            // Cancelled at a batch boundary: everything computed so far
-            // is already flushed below, so the grid resumes from here.
+        if stop(computed) {
             return None;
         }
-        let batch_cells: Vec<(usize, Cell)> =
-            batch.iter().filter_map(|&i| cells[i].take().map(|cell| (i, cell))).collect();
-        let (indices, batch_cells): (Vec<usize>, Vec<Cell>) = batch_cells.into_iter().unzip();
-        let results = sweep::run_sweep(batch_cells);
-        for (&i, result) in indices.iter().zip(results) {
-            let payload = encode_cell_result(&result);
-            if let Err(e) = std::fs::write(ckpt.cell_path(i), &payload) {
-                warn_io("cell write", &ckpt.cell_path(i), &e);
+        for (&i, result) in batch.iter().zip(compute(batch)) {
+            if let Some(ckpt) = ckpt.filter(|_| persist(&result)) {
+                match std::fs::write(ckpt.cell_path(i), encode_cell_result(&result)) {
+                    Ok(()) => on_disk[i] = true,
+                    Err(e) => warn_io("cell write", &ckpt.cell_path(i), &e),
+                }
             }
-            observer(i, &result);
             slots[i] = Some(result);
         }
-        // Digest what actually landed on disk: a cell whose payload
-        // cannot be re-read (failed write, races with an operator's
-        // cleanup) is left out of the manifest and recomputed on resume.
-        let entries: Vec<ManifestEntry> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_some())
-            .filter_map(|(i, _)| match std::fs::read(ckpt.cell_path(i)) {
-                Ok(payload) => Some(ManifestEntry { index: i, digest: crc32(&payload) }),
-                Err(e) => {
-                    warn_io("cell re-read", &ckpt.cell_path(i), &e);
-                    None
-                }
-            })
-            .collect();
-        write_manifests(ckpt, total, &entries);
-        computed += batch.len();
-        if let Some(limit) = abort_after {
-            if computed >= limit && slots.iter().any(|s| s.is_none()) {
-                return None;
-            }
+        if let Some(ckpt) = ckpt {
+            // Digest what actually landed on disk: a cell whose payload
+            // cannot be re-read (races with an operator's cleanup) is
+            // left out of the manifest and recomputed on resume.
+            let entries: Vec<ManifestEntry> = (0..total)
+                .filter(|&i| on_disk[i])
+                .filter_map(|i| match std::fs::read(ckpt.cell_path(i)) {
+                    Ok(payload) => Some(ManifestEntry { index: i, digest: crc32(&payload) }),
+                    Err(e) => {
+                        warn_io("cell re-read", &ckpt.cell_path(i), &e);
+                        None
+                    }
+                })
+                .collect();
+            write_manifest(ckpt, total, &entries);
         }
+        for &i in batch {
+            observer(i, slots[i].as_ref().expect("computed above"));
+        }
+        computed += batch.len();
     }
     Some(slots.into_iter().map(|s| s.expect("every cell completed")).collect())
 }
@@ -602,7 +583,6 @@ mod tests {
         let checkpointed = run_sweep_checkpointed(grid(), &ckpt);
         assert_same(&baseline, &checkpointed);
         assert!(ckpt.manifest_bin().exists());
-        assert!(ckpt.manifest_json().exists());
         clean_dir(&ckpt.dir);
     }
 
@@ -610,7 +590,7 @@ mod tests {
     fn aborted_sweep_resumes_byte_identically() {
         let ckpt = tmp("resume");
         let baseline = sweep::run_sweep(grid());
-        let aborted = run_sweep_checkpointed_with_abort(grid(), &ckpt, Some(3));
+        let aborted = run_sweep_checkpointed_observed(grid(), &ckpt, Some(3), &mut |_, _| {});
         assert!(aborted.is_none(), "a mid-grid abort must not return results");
         // The manifest records the flushed prefix; nothing else exists.
         let bytes = std::fs::read(ckpt.manifest_bin()).expect("manifest written");
@@ -717,6 +697,22 @@ mod tests {
         clean_dir(&ckpt.dir);
     }
 
+    fn labels() -> Vec<String> {
+        grid().iter().map(|c| c.label.clone()).collect()
+    }
+
+    /// `compute` for [`run_cells`] over a fresh [`grid`], recording each
+    /// batch's indices.
+    fn sweep_batches(
+        batches: &mut Vec<Vec<usize>>,
+    ) -> impl FnMut(&[usize]) -> Vec<CellResult> + '_ {
+        let mut cells: Vec<Option<Cell>> = grid().into_iter().map(Some).collect();
+        move |batch| {
+            batches.push(batch.to_vec());
+            sweep::run_sweep(batch.iter().filter_map(|&i| cells[i].take()).collect())
+        }
+    }
+
     #[test]
     fn cancelled_sweeps_flush_and_resume_byte_identically() {
         use std::sync::atomic::{AtomicBool, Ordering};
@@ -725,34 +721,134 @@ mod tests {
         // Cancel as soon as the first batch's cells are observed: the run
         // stops at the next batch boundary with that batch flushed.
         let flag = AtomicBool::new(false);
+        let stop = |_| flag.load(Ordering::Relaxed);
         let mut first = Vec::new();
-        let outcome =
-            run_sweep_checkpointed_cancellable(grid(), &ckpt, Some(&flag), &mut |i, _| {
+        let mut batches = Vec::new();
+        let outcome = run_cells(
+            &labels(),
+            Some(&ckpt),
+            &stop,
+            &mut sweep_batches(&mut batches),
+            &|_| true,
+            &mut |i, _| {
+                // Every observed cell is already in the manifest.
+                let (_, _, entries) =
+                    decode_manifest(&std::fs::read(ckpt.manifest_bin()).unwrap()).unwrap();
+                assert!(entries.iter().any(|e| e.index == i), "cell {i} observed before flush");
                 first.push(i);
                 flag.store(true, Ordering::Relaxed);
-            });
+            },
+        );
         assert!(outcome.is_none(), "a cancelled run must not return results");
         assert_eq!(first, vec![0, 1], "one batch (every = 2) completed before the cancel");
+        assert_eq!(batches, vec![vec![0, 1]]);
         let (_, total, entries) =
             decode_manifest(&std::fs::read(ckpt.manifest_bin()).unwrap()).unwrap();
         assert_eq!((total, entries.len()), (5, 2), "the completed batch is on disk");
         // A pre-set flag stops the run before any new computation.
-        let noop = run_sweep_checkpointed_cancellable(grid(), &ckpt, Some(&flag), &mut |_, _| {});
+        let mut batches = Vec::new();
+        let noop = run_cells(
+            &labels(),
+            Some(&ckpt),
+            &stop,
+            &mut sweep_batches(&mut batches),
+            &|_| true,
+            &mut |_, _| {},
+        );
         assert!(noop.is_none());
+        assert!(batches.is_empty());
         // Resubmission without the flag resumes the flushed prefix and
         // lands byte-identical to an uninterrupted run.
         flag.store(false, Ordering::Relaxed);
-        let resumed =
-            run_sweep_checkpointed_cancellable(grid(), &ckpt, Some(&flag), &mut |_, _| {})
-                .expect("uncancelled run completes");
+        let mut batches = Vec::new();
+        let resumed = run_cells(
+            &labels(),
+            Some(&ckpt),
+            &stop,
+            &mut sweep_batches(&mut batches),
+            &|_| true,
+            &mut |_, _| {},
+        )
+        .expect("uncancelled run completes");
         assert_same(&baseline, &resumed);
+        assert_eq!(batches, vec![vec![2, 3], vec![4]], "only the remainder is computed");
+        clean_dir(&ckpt.dir);
+    }
+
+    #[test]
+    fn undurable_runs_go_cell_by_cell_and_touch_no_disk() {
+        let dir = tmp("undurable").dir;
+        let baseline = sweep::run_sweep(grid());
+        let mut batches = Vec::new();
+        let mut seen = Vec::new();
+        let results = run_cells(
+            &labels(),
+            None,
+            &|_| false,
+            &mut sweep_batches(&mut batches),
+            &|_| true,
+            &mut |i, _| seen.push(i),
+        )
+        .expect("runs to completion");
+        assert_same(&baseline, &results);
+        assert_eq!(batches, vec![vec![0], vec![1], vec![2], vec![3], vec![4]]);
+        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+        assert!(!dir.exists(), "an undurable run must not create its directory");
+        // `stop` is asked before every cell, with the count computed so far.
+        let mut batches = Vec::new();
+        let stopped = run_cells(
+            &labels(),
+            None,
+            &|computed| computed >= 2,
+            &mut sweep_batches(&mut batches),
+            &|_| true,
+            &mut |_, _| {},
+        );
+        assert!(stopped.is_none());
+        assert_eq!(batches, vec![vec![0], vec![1]]);
+    }
+
+    #[test]
+    fn refused_results_stream_but_are_recomputed() {
+        let ckpt = tmp("persist");
+        let baseline = sweep::run_sweep(grid());
+        let mut batches = Vec::new();
+        let mut seen = Vec::new();
+        let results = run_cells(
+            &labels(),
+            Some(&ckpt),
+            &|_| false,
+            &mut sweep_batches(&mut batches),
+            &|res| res.label != "b",
+            &mut |i, _| seen.push(i),
+        )
+        .expect("runs to completion");
+        assert_same(&baseline, &results);
+        assert_eq!(seen, vec![0, 1, 2, 3, 4], "a refused cell still streams");
+        assert!(!ckpt.cell_path(1).exists(), "a refused cell is never written");
+        let (_, _, entries) =
+            decode_manifest(&std::fs::read(ckpt.manifest_bin()).unwrap()).unwrap();
+        assert_eq!(entries.iter().map(|e| e.index).collect::<Vec<_>>(), vec![0, 2, 3, 4]);
+        // The next run resumes the rest and recomputes only the refused cell.
+        let mut batches = Vec::new();
+        let resumed = run_cells(
+            &labels(),
+            Some(&ckpt),
+            &|_| false,
+            &mut sweep_batches(&mut batches),
+            &|_| true,
+            &mut |_, _| {},
+        )
+        .expect("runs to completion");
+        assert_same(&baseline, &resumed);
+        assert_eq!(batches, vec![vec![1]]);
         clean_dir(&ckpt.dir);
     }
 
     #[test]
     fn stale_manifests_for_other_grids_are_ignored() {
         let ckpt = tmp("stale");
-        assert!(run_sweep_checkpointed_with_abort(grid(), &ckpt, Some(1)).is_none());
+        assert!(run_sweep_checkpointed_observed(grid(), &ckpt, Some(1), &mut |_, _| {}).is_none());
         // A different (smaller) grid must not pick up the stale cells.
         let small = vec![cell("a", Target::Line, 3, 100), cell("b", Target::SimLine, 2, 200)];
         let baseline = sweep::run_sweep(vec![

@@ -7,10 +7,9 @@
 //! ([`setup::demo_pipeline`]) — a `SPEC`-tagged snapshot container
 //! carrying `(target, w, v, m, window, s_bits, q, seed)` — plus the
 //! worker entry point ([`worker_main`], the body of the `mphd_worker`
-//! binary and of `mphd --shard-worker`), and a sharded mirror of the
-//! sweep engine ([`run_cells_sharded`]) whose [`CellResult`]s carry
-//! measurements **byte-identical** to [`crate::sweep::run_sweep`] on
-//! the same cells.
+//! binary and of `mphd --shard-worker`), and a sharded sweep cell
+//! ([`run_cell_sharded`]) whose [`CellResult`] carries measurements
+//! **byte-identical** to [`crate::sweep::run_sweep`] on the same cell.
 //!
 //! The identity argument stacks three layers, each pinned by tests:
 //! the worker builds its simulation by the exact recipe
@@ -355,104 +354,68 @@ impl ShardedRunner {
     }
 }
 
-/// Runs one supervised trial on a one-shot fleet — a convenience wrapper
-/// over [`ShardedRunner`] for callers (E14, tests) that measure a
-/// single spec and do not need cross-trial fleet reuse.
-pub fn measure_sharded(
-    spec: &ShardSpec,
-    cfg: &SupervisorConfig,
-    max_rounds: usize,
-    sink: Option<Arc<dyn MetricsSink>>,
-) -> Result<RoundMeasurement, ShardError> {
-    ShardedRunner::new(cfg.clone(), sink).measure(spec, max_rounds)
-}
-
-/// One parameter point of a sharded sweep: the spec template (its `seed`
-/// field is overwritten per trial) plus the trial plan.
-#[derive(Clone, Debug)]
-pub struct ShardCell {
-    /// Display label, mirroring [`crate::sweep::Cell::label`].
-    pub label: String,
-    /// The pipeline geometry; `spec.seed` is ignored (per-trial seeds are
-    /// `base_seed + t`).
-    pub spec: ShardSpec,
-    /// Number of independent `(RO, X)` draws.
-    pub trials: usize,
-    /// Seed of trial 0.
-    pub base_seed: u64,
-    /// Round cap per trial.
-    pub max_rounds: usize,
-    /// Record a tagged telemetry snapshot (worker-lifecycle tallies land
-    /// in its `workers` map).
-    pub telemetry: bool,
-}
-
-/// Runs sharded cells sequentially (workers provide the parallelism) and
-/// returns [`CellResult`]s whose `measurements`, `mean_rounds`, and
-/// `status` are byte-identical to [`crate::sweep::run_sweep`] on the
-/// equivalent in-process cells. Each cell gets one [`ShardedRunner`], so
-/// its trials share a warm worker fleet. A supervisor failure (respawn
-/// budget exhausted with no fallback, deterministic worker error) fails
-/// that cell with the reason and leaves the remaining cells to complete;
-/// a cell whose fleet shrank or fell back in-process but still produced
-/// correct measurements is reported [`CellStatus::Degraded`] — the sweep
+/// Runs one sweep cell on one supervised worker fleet and returns a
+/// [`CellResult`] whose `measurements`, `mean_rounds` and `status` are
+/// byte-identical to [`crate::sweep::run_sweep`] on the equivalent
+/// in-process cell. Trial `t` runs at seed `spec.seed + t`, and all
+/// trials share one warm fleet ([`ShardedRunner`]). The tagged telemetry
+/// snapshot carries the worker-lifecycle tallies in its `workers` map.
+///
+/// A supervisor failure (respawn budget exhausted with no fallback,
+/// deterministic worker error) fails the cell with the reason; a cell
+/// whose fleet shrank or fell back in-process but still produced correct
+/// measurements is reported [`CellStatus::Degraded`] — the sweep
 /// engine's degrade-not-die contract.
-pub fn run_cells_sharded(cells: Vec<ShardCell>, cfg: &SupervisorConfig) -> Vec<CellResult> {
-    cells
-        .into_iter()
-        .map(|cell| {
-            let recorder = cell.telemetry.then(|| {
-                let recorder = Arc::new(Recorder::new());
-                let pipeline = cell.spec.pipeline();
-                let s = cell.spec.s_bits.unwrap_or_else(|| pipeline.required_s());
-                theorem::run_tags(&recorder, pipeline.params(), s, cell.spec.q);
-                recorder
-            });
-            let sink: Option<Arc<dyn MetricsSink>> =
-                recorder.clone().map(|r| r as Arc<dyn MetricsSink>);
-            let mut runner = ShardedRunner::new(cfg.clone(), sink);
-            let mut measurements = Vec::with_capacity(cell.trials);
-            let mut failure: Option<String> = None;
-            let mut degradations: Vec<String> = Vec::new();
-            for t in 0..cell.trials as u64 {
-                let spec = ShardSpec { seed: cell.base_seed.wrapping_add(t), ..cell.spec.clone() };
-                match runner.measure(&spec, cell.max_rounds) {
-                    Ok(m) => {
-                        if let Some(d) = runner.last_degradation() {
-                            degradations.push(format!("trial {t}: {d}"));
-                        }
-                        measurements.push(m);
-                    }
-                    Err(e) => {
-                        failure = Some(format!("trial {t}: {e}"));
-                        break;
-                    }
+pub fn run_cell_sharded(
+    label: &str,
+    spec: &ShardSpec,
+    trials: usize,
+    max_rounds: usize,
+    cfg: &SupervisorConfig,
+) -> CellResult {
+    let recorder = Arc::new(Recorder::new());
+    let pipeline = spec.pipeline();
+    let s = spec.s_bits.unwrap_or_else(|| pipeline.required_s());
+    theorem::run_tags(&recorder, pipeline.params(), s, spec.q);
+    let mut runner = ShardedRunner::new(cfg.clone(), Some(recorder.clone()));
+    let mut measurements = Vec::with_capacity(trials);
+    let mut failure: Option<String> = None;
+    let mut degradations: Vec<String> = Vec::new();
+    for t in 0..trials as u64 {
+        let trial = ShardSpec { seed: spec.seed.wrapping_add(t), ..spec.clone() };
+        match runner.measure(&trial, max_rounds) {
+            Ok(m) => {
+                if let Some(d) = runner.last_degradation() {
+                    degradations.push(format!("trial {t}: {d}"));
                 }
+                measurements.push(m);
             }
-            let status = match failure {
-                Some(reason) => CellStatus::Failed { reason },
-                None => match measurements.iter().position(|m| !m.correct) {
-                    Some(t) => {
-                        CellStatus::Failed { reason: format!("trial {t}: incorrect output") }
-                    }
-                    None if !degradations.is_empty() => {
-                        CellStatus::Degraded { reason: degradations.join("; ") }
-                    }
-                    None => CellStatus::Ok,
-                },
-            };
-            let correct: Vec<RoundMeasurement> =
-                measurements.iter().filter(|m| m.correct).cloned().collect();
-            CellResult {
-                label: cell.label,
-                status,
-                mean_rounds: if correct.is_empty() { 0.0 } else { theorem::mean_of(&correct) },
-                measurements,
-                retries_used: 0,
-                snapshot: recorder.map(|r| r.snapshot()),
+            Err(e) => {
+                failure = Some(format!("trial {t}: {e}"));
+                break;
             }
-        })
-        .collect()
+        }
+    }
+    let status = match failure {
+        Some(reason) => CellStatus::Failed { reason },
+        None => match measurements.iter().position(|m| !m.correct) {
+            Some(t) => CellStatus::Failed { reason: format!("trial {t}: incorrect output") },
+            None if !degradations.is_empty() => {
+                CellStatus::Degraded { reason: degradations.join("; ") }
+            }
+            None => CellStatus::Ok,
+        },
+    };
+    let correct: Vec<RoundMeasurement> =
+        measurements.iter().filter(|m| m.correct).cloned().collect();
+    CellResult {
+        label: label.to_string(),
+        status,
+        mean_rounds: if correct.is_empty() { 0.0 } else { theorem::mean_of(&correct) },
+        measurements,
+        retries_used: 0,
+        snapshot: Some(recorder.snapshot()),
+    }
 }
 
 #[cfg(test)]

@@ -9,9 +9,7 @@
 
 use mph_core::algorithms::pipeline::Target;
 use mph_core::theorem;
-use mph_experiments::shard::{
-    measure_sharded, run_cells_sharded, ShardCell, ShardSpec, ShardedRunner,
-};
+use mph_experiments::shard::{run_cell_sharded, ShardSpec, ShardedRunner};
 use mph_experiments::sweep::{run_sweep, Cell, CellStatus};
 use mph_metrics::{MetricsSink, Recorder};
 use mph_mpc::shard::{KillSpec, ShardError, SupervisorConfig};
@@ -45,7 +43,8 @@ fn sharded_runs_match_in_process_across_shard_counts() {
     let expected = theorem::measure_rounds(&s.pipeline(), s.seed, s.s_bits, s.q, 10_000);
     assert!(expected.correct, "reference trial must be healthy");
     for shards in [1, 2, 4, 7] {
-        let got = measure_sharded(&s, &config(shards), 10_000, None)
+        let got = ShardedRunner::new(config(shards), None)
+            .measure(&s, 10_000)
             .unwrap_or_else(|e| panic!("{shards} shards: {e}"));
         assert_eq!(got, expected, "shards = {shards}");
     }
@@ -62,7 +61,7 @@ fn sigkill_mid_round_recovers_byte_identically() {
     cfg.kills = vec![KillSpec { round: 1, worker: 1 }, KillSpec { round: 3, worker: 0 }];
     let recorder = Arc::new(Recorder::new());
     let sink: Arc<dyn MetricsSink> = recorder.clone();
-    let got = measure_sharded(&s, &cfg, 10_000, Some(sink)).expect("recovered run");
+    let got = ShardedRunner::new(cfg, Some(sink)).measure(&s, 10_000).expect("recovered run");
     assert_eq!(got, expected, "post-recovery transcript must be byte-identical");
     // The kills really happened: the supervisor observed the crashes and
     // rolled replacements forward from the round barriers.
@@ -96,20 +95,12 @@ fn respawn_exhaustion_redistributes_to_survivors_byte_identically() {
     assert!(workers["redistribute"] >= 1, "workers: {workers:?}");
     // The same scenario at the sweep-cell level lands as a Degraded
     // cell whose measurements still match the in-process engine.
-    let cell = ShardCell {
-        label: "exhausted".into(),
-        spec: s.clone(),
-        trials: 1,
-        base_seed: s.seed,
-        max_rounds: 10_000,
-        telemetry: false,
-    };
-    let results = run_cells_sharded(vec![cell], &cfg);
-    let CellStatus::Degraded { reason } = &results[0].status else {
-        panic!("expected Degraded, got {:?}", results[0].status);
+    let result = run_cell_sharded("exhausted", &s, 1, 10_000, &cfg);
+    let CellStatus::Degraded { reason } = &result.status else {
+        panic!("expected Degraded, got {:?}", result.status);
     };
     assert!(reason.contains("trial 0"), "reason: {reason}");
-    assert_eq!(results[0].measurements, vec![expected]);
+    assert_eq!(result.measurements, vec![expected]);
 }
 
 #[test]
@@ -141,7 +132,8 @@ fn tcp_transport_matches_in_process_across_shard_counts() {
     let expected = theorem::measure_rounds(&s.pipeline(), s.seed, s.s_bits, s.q, 10_000);
     assert!(expected.correct, "reference trial must be healthy");
     for shards in [1, 2, 4, 7] {
-        let got = measure_sharded(&s, &tcp_config(shards), 10_000, None)
+        let got = ShardedRunner::new(tcp_config(shards), None)
+            .measure(&s, 10_000)
             .unwrap_or_else(|e| panic!("{shards} TCP shards: {e}"));
         assert_eq!(got, expected, "TCP shards = {shards}");
     }
@@ -171,7 +163,8 @@ fn tcp_with_random_chaos_rates_recovers_byte_identically() {
     });
     let recorder = Arc::new(Recorder::new());
     let sink: Arc<dyn MetricsSink> = recorder.clone();
-    let got = measure_sharded(&s, &cfg, 10_000, Some(sink)).expect("chaotic run completes");
+    let got =
+        ShardedRunner::new(cfg, Some(sink)).measure(&s, 10_000).expect("chaotic run completes");
     assert_eq!(got, expected, "chaos must be invisible in the merged transcript");
     let workers = recorder.snapshot().workers;
     assert_eq!(
@@ -207,7 +200,8 @@ fn every_single_frame_fault_recovers_byte_identically() {
                 force: vec![ForcedFault { worker: 1, direction, frame_index, kind }],
                 ..ChaosSpec::default()
             });
-            let got = measure_sharded(&s, &cfg, 10_000, None)
+            let got = ShardedRunner::new(cfg, None)
+                .measure(&s, 10_000)
                 .unwrap_or_else(|e| panic!("{kind:?}/{direction:?}: {e}"));
             assert_eq!(got, expected, "fault {kind:?} on {direction:?} frame {frame_index}");
         }
@@ -219,12 +213,12 @@ fn zero_rate_chaos_is_byte_invisible_end_to_end() {
     // A chaos plane with all rates at zero must not perturb the wire at
     // all: same measurements, no crashes, no respawns.
     let s = spec(108);
-    let baseline = measure_sharded(&s, &tcp_config(2), 10_000, None).expect("baseline");
+    let baseline = ShardedRunner::new(tcp_config(2), None).measure(&s, 10_000).expect("baseline");
     let mut cfg = tcp_config(2);
     cfg.chaos = Some(ChaosSpec { seed: 99, ..ChaosSpec::default() });
     let recorder = Arc::new(Recorder::new());
     let sink: Arc<dyn MetricsSink> = recorder.clone();
-    let got = measure_sharded(&s, &cfg, 10_000, Some(sink)).expect("inert chaos run");
+    let got = ShardedRunner::new(cfg, Some(sink)).measure(&s, 10_000).expect("inert chaos run");
     assert_eq!(got, baseline);
     let workers = recorder.snapshot().workers;
     assert_eq!(workers.get("crash").copied().unwrap_or(0), 0, "workers: {workers:?}");
@@ -233,7 +227,7 @@ fn zero_rate_chaos_is_byte_invisible_end_to_end() {
 
 #[test]
 fn sharded_cells_match_the_sweep_engine() {
-    // Whole-cell comparison: run_cells_sharded vs run_sweep on the same
+    // Whole-cell comparison: run_cell_sharded vs run_sweep on the same
     // grid — measurements, means, and statuses all equal (the report
     // built from either is byte-identical).
     let trials = 3;
@@ -248,18 +242,13 @@ fn sharded_cells_match_the_sweep_engine() {
         })
         .collect();
     let expected = run_sweep(in_process);
-    let sharded: Vec<ShardCell> = windows
+    let got: Vec<_> = windows
         .iter()
-        .map(|&window| ShardCell {
-            label: format!("window={window}"),
-            spec: ShardSpec { window, ..spec(0) },
-            trials,
-            base_seed,
-            max_rounds,
-            telemetry: true,
+        .map(|&window| {
+            let s = ShardSpec { window, ..spec(base_seed) };
+            run_cell_sharded(&format!("window={window}"), &s, trials, max_rounds, &config(4))
         })
         .collect();
-    let got = run_cells_sharded(sharded, &config(4));
     assert_eq!(got.len(), expected.len());
     for (g, e) in got.iter().zip(&expected) {
         assert_eq!(g.label, e.label);
@@ -284,20 +273,12 @@ fn worker_with_memory_starved_spec_fails_the_cell_not_the_process() {
     // fails the trial with a typed Worker error (no respawn loop — a
     // deterministic failure would just recur).
     let s = ShardSpec { s_bits: Some(1), ..spec(103) };
-    match measure_sharded(&s, &config(2), 10_000, None) {
+    match ShardedRunner::new(config(2), None).measure(&s, 10_000) {
         Err(ShardError::Worker { .. }) => {}
         other => panic!("expected a deterministic Worker error, got {other:?}"),
     }
     // And at the cell level it degrades to a Failed cell, like the
     // in-process sweep engine's contract.
-    let cells = vec![ShardCell {
-        label: "starved".into(),
-        spec: ShardSpec { s_bits: Some(1), ..spec(103) },
-        trials: 2,
-        base_seed: 103,
-        max_rounds: 10_000,
-        telemetry: false,
-    }];
-    let results = run_cells_sharded(cells, &config(2));
-    assert!(results[0].status.is_failed(), "status: {:?}", results[0].status);
+    let result = run_cell_sharded("starved", &s, 2, 10_000, &config(2));
+    assert!(result.status.is_failed(), "status: {:?}", result.status);
 }

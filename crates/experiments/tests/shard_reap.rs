@@ -6,7 +6,7 @@
 //! inside one `#[test]` for the same reason.
 
 use mph_core::algorithms::pipeline::Target;
-use mph_experiments::shard::{measure_sharded, ShardSpec};
+use mph_experiments::shard::{ShardSpec, ShardedRunner};
 use mph_mpc::shard::{KillSpec, SupervisorConfig};
 use mph_mpc::TransportKind;
 
@@ -41,14 +41,17 @@ fn no_scenario_leaks_a_child_process() {
 
     // 1. Clean run: the supervisor's drop closes pipes and reaps the
     //    whole fleet.
-    measure_sharded(&spec(200), &config(4, real.clone()), 10_000, None).expect("clean run");
+    ShardedRunner::new(config(4, real.clone()), None)
+        .measure(&spec(200), 10_000)
+        .expect("clean run");
     assert_eq!(live_children(), [], "clean run leaked workers");
 
     // 2. Failed handshake: the worker command exists but exits
     //    immediately without speaking the protocol. Supervisor::new
     //    errors — and the partially-built fleet must still be reaped.
     let bad = vec!["/bin/false".to_string()];
-    measure_sharded(&spec(201), &config(3, bad), 10_000, None)
+    ShardedRunner::new(config(3, bad), None)
+        .measure(&spec(201), 10_000)
         .expect_err("handshake with /bin/false must fail");
     assert_eq!(live_children(), [], "failed handshake leaked children");
 
@@ -59,13 +62,16 @@ fn no_scenario_leaks_a_child_process() {
     let mut cfg = config(4, real.clone());
     cfg.max_respawns = 0;
     cfg.kills = vec![KillSpec { round: 0, worker: 2 }];
-    measure_sharded(&spec(202), &cfg, 10_000, None).expect("budget 0 + kill degrades, not dies");
+    ShardedRunner::new(cfg, None)
+        .measure(&spec(202), 10_000)
+        .expect("budget 0 + kill degrades, not dies");
     assert_eq!(live_children(), [], "exhausted-budget path leaked workers");
 
     // 4. Deterministic worker-side failure (memory too small to deliver
     //    the input): fatal Worker error, fleet reaped.
     let starved = ShardSpec { s_bits: Some(1), ..spec(203) };
-    measure_sharded(&starved, &config(2, real.clone()), 10_000, None)
+    ShardedRunner::new(config(2, real.clone()), None)
+        .measure(&starved, 10_000)
         .expect_err("starved spec must fail");
     assert_eq!(live_children(), [], "worker-error path leaked workers");
 
@@ -73,6 +79,6 @@ fn no_scenario_leaks_a_child_process() {
     //    contract is transport-independent.
     let mut cfg = config(3, real);
     cfg.transport = TransportKind::Tcp;
-    measure_sharded(&spec(204), &cfg, 10_000, None).expect("clean TCP run");
+    ShardedRunner::new(cfg, None).measure(&spec(204), 10_000).expect("clean TCP run");
     assert_eq!(live_children(), [], "TCP run leaked workers");
 }

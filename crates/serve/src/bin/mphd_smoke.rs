@@ -5,8 +5,9 @@
 //! * `--addr HOST:PORT` — submit a grid to a running daemon, echo
 //!   progress events to stderr, and print the final report JSON
 //!   document (exactly as served) to stdout.
-//! * `--local` — run the same grid in-process through the same session
-//!   code, no daemon involved, and print the same report to stdout.
+//! * `--local` — run the same grid in-process through the sweep engine
+//!   (`run_sweep`) and the same report renderer, no daemon, checkpoint
+//!   or session loop involved, and print the same report to stdout.
 //!
 //! The CI `serve-smoke` job diffs the two stdouts: the daemon must be
 //! observationally identical to the single-process sweep. `--ping`

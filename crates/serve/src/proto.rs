@@ -237,34 +237,17 @@ fn field_rate(params: &Json, key: &str) -> Result<Option<f64>, ProtoError> {
     }
 }
 
-fn field_u64(params: &Json, key: &str, default: u64, max: u64) -> Result<u64, ProtoError> {
-    match get(params, key) {
-        None => Ok(default),
-        Some(v) => {
-            let n = as_u64(v)
-                .ok_or_else(|| ProtoError::bad(format!("{key} must be a non-negative integer")))?;
-            if n < 1 || n > max {
-                return Err(ProtoError::bad(format!("{key} must be in 1..={max}")));
-            }
-            Ok(n)
-        }
+/// Parses one optional integer field in `lo..=hi`; absent stays `None`.
+fn field_int(params: &Json, key: &str, lo: u64, hi: u64) -> Result<Option<u64>, ProtoError> {
+    let Some(v) = get(params, key) else {
+        return Ok(None);
+    };
+    let n = as_u64(v)
+        .ok_or_else(|| ProtoError::bad(format!("{key} must be a non-negative integer")))?;
+    if !(lo..=hi).contains(&n) {
+        return Err(ProtoError::bad(format!("{key} must be in {lo}..={hi}")));
     }
-}
-
-/// An optional field with no default: absent stays `None`, present is
-/// range-checked into `Some`.
-fn field_opt_u64(params: &Json, key: &str, max: u64) -> Result<Option<u64>, ProtoError> {
-    match get(params, key) {
-        None => Ok(None),
-        Some(v) => {
-            let n = as_u64(v)
-                .ok_or_else(|| ProtoError::bad(format!("{key} must be a non-negative integer")))?;
-            if n < 1 || n > max {
-                return Err(ProtoError::bad(format!("{key} must be in 1..={max}")));
-            }
-            Ok(Some(n))
-        }
-    }
+    Ok(Some(n))
 }
 
 /// Every key a `submit` request's `params` may carry, one per
@@ -334,9 +317,9 @@ impl GridSpec {
                 _ => return Err(ProtoError::bad("target must be \"line\" or \"simline\"")),
             },
         };
-        let w = field_u64(params, "w", d.w, limits::MAX_W)?;
-        let v = field_u64(params, "v", d.v as u64, limits::MAX_V as u64)? as usize;
-        let m = field_u64(params, "m", d.m as u64, limits::MAX_M as u64)? as usize;
+        let w = field_int(params, "w", 1, limits::MAX_W)?.unwrap_or(d.w);
+        let v = field_int(params, "v", 1, limits::MAX_V as u64)?.map_or(d.v, |n| n as usize);
+        let m = field_int(params, "m", 1, limits::MAX_M as u64)?.map_or(d.m, |n| n as usize);
         let windows = match get(params, "windows") {
             None => d.windows,
             Some(value) => {
@@ -362,63 +345,39 @@ impl GridSpec {
                 out
             }
         };
-        let trials =
-            field_u64(params, "trials", d.trials as u64, limits::MAX_TRIALS as u64)? as usize;
-        let seed = match get(params, "seed") {
-            None => d.seed,
-            Some(v) => {
-                as_u64(v).ok_or_else(|| ProtoError::bad("seed must be a non-negative integer"))?
-            }
-        };
-        let max_rounds =
-            field_u64(params, "max_rounds", d.max_rounds as u64, limits::MAX_ROUNDS as u64)?
-                as usize;
-        let s_bits = field_opt_u64(params, "s_bits", limits::MAX_S_BITS)?.map(|n| n as usize);
-        let q = field_opt_u64(params, "q", limits::MAX_Q)?;
+        let trials = field_int(params, "trials", 1, limits::MAX_TRIALS as u64)?
+            .map_or(d.trials, |n| n as usize);
+        let seed = field_int(params, "seed", 0, u64::MAX)?.unwrap_or(d.seed);
+        let max_rounds = field_int(params, "max_rounds", 1, limits::MAX_ROUNDS as u64)?
+            .map_or(d.max_rounds, |n| n as usize);
+        let s_bits = field_int(params, "s_bits", 1, limits::MAX_S_BITS)?.map(|n| n as usize);
+        let q = field_int(params, "q", 1, limits::MAX_Q)?;
         let durable = match get(params, "durable") {
             None => d.durable,
             Some(v) => as_bool(v).ok_or_else(|| ProtoError::bad("durable must be a boolean"))?,
         };
-        let checkpoint_every = match get(params, "checkpoint_every") {
-            None => d.checkpoint_every,
-            // 0 is accepted and clamped to 1 — the documented "at least
-            // one flush per cell" reading, matching the runner's clamp.
-            Some(v) => as_u64(v)
-                .ok_or_else(|| ProtoError::bad("checkpoint_every must be a non-negative integer"))?
-                .clamp(0, 1 << 20) as usize,
-        };
+        // Any cadence is accepted: 0 clamps to 1 (the documented "at least
+        // one flush per cell" reading, matching the runner's clamp) and
+        // huge values clamp to 2^20.
+        let checkpoint_every = field_int(params, "checkpoint_every", 0, u64::MAX)?
+            .map_or(d.checkpoint_every, |n| n.min(1 << 20) as usize);
         let crash_rate = field_rate(params, "crash_rate")?;
         let drop_rate = field_rate(params, "drop_rate")?;
         let corrupt_rate = field_rate(params, "corrupt_rate")?;
         let straggler_rate = field_rate(params, "straggler_rate")?;
         let has_faults =
             [crash_rate, drop_rate, corrupt_rate, straggler_rate].iter().any(Option::is_some);
-        let fault_seed = match get(params, "fault_seed") {
-            None => d.fault_seed,
-            Some(_) if !has_faults => {
-                return Err(ProtoError::bad("fault_seed requires at least one fault rate"));
-            }
-            Some(v) => as_u64(v)
-                .ok_or_else(|| ProtoError::bad("fault_seed must be a non-negative integer"))?,
-        };
-        let retries = match get(params, "retries") {
-            None => d.retries,
-            Some(_) if !has_faults => {
-                return Err(ProtoError::bad("retries requires at least one fault rate"));
-            }
-            Some(v) => {
-                let n = as_u64(v)
-                    .ok_or_else(|| ProtoError::bad("retries must be a non-negative integer"))?;
-                if n > limits::MAX_RETRIES {
-                    return Err(ProtoError::bad(format!(
-                        "retries must be in 0..={}",
-                        limits::MAX_RETRIES
-                    )));
-                }
-                n as usize
-            }
-        };
-        let shards = field_u64(params, "shards", 1, m as u64)? as usize;
+        // A gated field is refused when it is set without the setting it
+        // `needs` (`what` names that setting in the message).
+        let gated =
+            |key: &str, lo, hi, needs: bool, what: &str| match field_int(params, key, lo, hi)? {
+                Some(_) if !needs => Err(ProtoError::bad(format!("{key} requires {what}"))),
+                value => Ok(value),
+            };
+        let faults = "at least one fault rate";
+        let fault_seed = gated("fault_seed", 0, u64::MAX, has_faults, faults)?;
+        let retries = gated("retries", 0, limits::MAX_RETRIES, has_faults, faults)?;
+        let shards = field_int(params, "shards", 1, m as u64)?.map_or(1, |n| n as usize);
         if shards > 1 && has_faults {
             // Injected faults are an in-process simulator feature; the
             // shard plane's faults are real processes dying.
@@ -445,68 +404,16 @@ impl GridSpec {
         if has_chaos && shards <= 1 {
             return Err(ProtoError::bad("chaos rates require shards > 1"));
         }
-        let chaos_seed = match get(params, "chaos_seed") {
-            None => d.chaos_seed,
-            Some(_) if !has_chaos => {
-                return Err(ProtoError::bad("chaos_seed requires at least one chaos rate"));
-            }
-            Some(v) => as_u64(v)
-                .ok_or_else(|| ProtoError::bad("chaos_seed must be a non-negative integer"))?,
-        };
-        let chaos_delay_ms = match get(params, "chaos_delay_ms") {
-            None => d.chaos_delay_ms,
-            Some(_) if !has_chaos => {
-                return Err(ProtoError::bad("chaos_delay_ms requires at least one chaos rate"));
-            }
-            Some(v) => {
-                let n = as_u64(v)
-                    .ok_or_else(|| ProtoError::bad("chaos_delay_ms must be a positive integer"))?;
-                if !(1..=limits::MAX_CHAOS_DELAY_MS).contains(&n) {
-                    return Err(ProtoError::bad(format!(
-                        "chaos_delay_ms must be in 1..={}",
-                        limits::MAX_CHAOS_DELAY_MS
-                    )));
-                }
-                n
-            }
-        };
-        let round_deadline_ms = match get(params, "round_deadline_ms") {
-            None => None,
-            Some(_) if shards <= 1 => {
-                return Err(ProtoError::bad("round_deadline_ms requires shards > 1"));
-            }
-            Some(v) => {
-                let n = as_u64(v).ok_or_else(|| {
-                    ProtoError::bad("round_deadline_ms must be a positive integer")
-                })?;
-                if !(1..=limits::MAX_ROUND_DEADLINE_MS).contains(&n) {
-                    return Err(ProtoError::bad(format!(
-                        "round_deadline_ms must be in 1..={}",
-                        limits::MAX_ROUND_DEADLINE_MS
-                    )));
-                }
-                Some(n)
-            }
-        };
-        let respawns = match get(params, "respawns") {
-            None => None,
-            Some(_) if shards <= 1 => {
-                return Err(ProtoError::bad("respawns requires shards > 1"));
-            }
-            Some(v) => {
-                // 0 is legal: it disables respawns entirely, which is how
-                // a client exercises the degradation ladder on purpose.
-                let n = as_u64(v)
-                    .ok_or_else(|| ProtoError::bad("respawns must be a non-negative integer"))?;
-                if n > limits::MAX_RESPAWNS {
-                    return Err(ProtoError::bad(format!(
-                        "respawns must be in 0..={}",
-                        limits::MAX_RESPAWNS
-                    )));
-                }
-                Some(n as usize)
-            }
-        };
+        let chaos = "at least one chaos rate";
+        let chaos_seed = gated("chaos_seed", 0, u64::MAX, has_chaos, chaos)?;
+        let chaos_delay_ms =
+            gated("chaos_delay_ms", 1, limits::MAX_CHAOS_DELAY_MS, has_chaos, chaos)?;
+        let sharded = "shards > 1";
+        let round_deadline_ms =
+            gated("round_deadline_ms", 1, limits::MAX_ROUND_DEADLINE_MS, shards > 1, sharded)?;
+        // 0 respawns is legal: it disables respawns entirely, which is how
+        // a client exercises the degradation ladder on purpose.
+        let respawns = gated("respawns", 0, limits::MAX_RESPAWNS, shards > 1, sharded)?;
         Ok(GridSpec {
             exp,
             target,
@@ -526,16 +433,16 @@ impl GridSpec {
             drop_rate,
             corrupt_rate,
             straggler_rate,
-            fault_seed,
-            retries,
+            fault_seed: fault_seed.unwrap_or(d.fault_seed),
+            retries: retries.map_or(d.retries, |n| n as usize),
             transport,
             chaos_corrupt_rate,
             chaos_duplicate_rate,
             chaos_delay_rate,
-            chaos_seed,
-            chaos_delay_ms,
+            chaos_seed: chaos_seed.unwrap_or(d.chaos_seed),
+            chaos_delay_ms: chaos_delay_ms.unwrap_or(d.chaos_delay_ms),
             round_deadline_ms,
-            respawns,
+            respawns: respawns.map(|n| n as usize),
         })
     }
 
@@ -665,8 +572,8 @@ pub enum Call {
     Ping,
     /// Run (or resume) an experiment grid, streaming progress.
     Submit(Box<GridSpec>),
-    /// Stop a running session (named by its key) at its next cell
-    /// boundary. The cancelled session's stream ends with a `cancelled`
+    /// Stop a running session (named by its key) before its next batch
+    /// of cells. The cancelled session's stream ends with a `cancelled`
     /// event; durable work stays checkpointed, so resubmitting the grid
     /// resumes the completed cells.
     Cancel {
@@ -863,6 +770,36 @@ mod tests {
                 r#"{"id":"a","method":"submit","params":{"shards":2,"respawns":65}}"#,
                 ErrorCode::BadRequest,
             ),
+            (r#"{"id":"a","method":"submit","params":{"seed":-1}}"#, ErrorCode::BadRequest),
+            (
+                r#"{"id":"a","method":"submit","params":{"checkpoint_every":"x"}}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
+                r#"{"id":"a","method":"submit","params":{"drop_rate":0.1,"fault_seed":"x"}}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
+                r#"{"id":"a","method":"submit","params":{"drop_rate":0.1,"retries":1.5}}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
+                r#"{"id":"a","method":"submit","params":{"shards":2,"chaos_corrupt_rate":0.1,"chaos_seed":-1}}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
+                r#"{"id":"a","method":"submit","params":{"shards":2,"chaos_delay_rate":0.1,"chaos_delay_ms":0}}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
+                r#"{"id":"a","method":"submit","params":{"shards":2,"round_deadline_ms":"x"}}"#,
+                ErrorCode::BadRequest,
+            ),
+            (
+                r#"{"id":"a","method":"submit","params":{"shards":2,"respawns":"x"}}"#,
+                ErrorCode::BadRequest,
+            ),
+            (r#"{"id":"a","method":"submit","params":{"respawns":"x"}}"#, ErrorCode::BadRequest),
             (r#"{"id":"a","method":"cancel"}"#, ErrorCode::BadRequest),
             (r#"{"id":"a","method":"cancel","params":{"session":""}}"#, ErrorCode::BadRequest),
             (r#"{"id":"a","method":"cancel","params":{"session":7}}"#, ErrorCode::BadRequest),
@@ -879,6 +816,49 @@ mod tests {
         let line = r#"{"id":"a","method":"submit","params":{"shards":2,"chaos_corupt_rate":0.5}}"#;
         let (_, e) = parse_request(line).unwrap_err();
         assert_eq!(e.message, r#"unknown param "chaos_corupt_rate""#);
+    }
+
+    #[test]
+    fn integer_rejections_name_the_field_and_its_rule() {
+        for (params, want) in [
+            (r#"{"trials":"x"}"#, "trials must be a non-negative integer"),
+            (r#"{"trials":0}"#, "trials must be in 1..=10000"),
+            (r#"{"drop_rate":0.1,"retries":17}"#, "retries must be in 0..=16"),
+            (r#"{"retries":2}"#, "retries requires at least one fault rate"),
+            (r#"{"chaos_seed":7,"shards":2}"#, "chaos_seed requires at least one chaos rate"),
+            (r#"{"respawns":3}"#, "respawns requires shards > 1"),
+            (r#"{"shards":2,"respawns":"x"}"#, "respawns must be a non-negative integer"),
+        ] {
+            let line = format!(r#"{{"id":"a","method":"submit","params":{params}}}"#);
+            let (_, e) = parse_request(&line).unwrap_err();
+            assert_eq!((e.code, e.message.as_str()), (ErrorCode::BadRequest, want), "{params}");
+        }
+        // Cadences are clamped, never refused.
+        for (every, want) in [(0u64, 0usize), (1 << 21, 1 << 20)] {
+            let line = format!(
+                r#"{{"id":"a","method":"submit","params":{{"checkpoint_every":{every}}}}}"#
+            );
+            let Call::Submit(spec) = parse_request(&line).expect("parses").call else {
+                panic!("expected submit");
+            };
+            assert_eq!(spec.checkpoint_every, want);
+        }
+    }
+
+    #[test]
+    fn session_keys_are_pinned() {
+        // The key names every durable checkpoint directory: a drift would
+        // orphan them all, so pin absolute values, not just equalities.
+        assert_eq!(GridSpec::default().session_key(), "77c168e082857011");
+        let overridden = GridSpec {
+            s_bits: Some(4096),
+            q: Some(64),
+            drop_rate: Some(0.05),
+            fault_seed: 7,
+            retries: 2,
+            ..GridSpec::default()
+        };
+        assert_eq!(overridden.session_key(), "1816b10d037c4b63");
     }
 
     #[test]

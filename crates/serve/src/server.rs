@@ -66,7 +66,7 @@ struct Shared {
     ckpt_root: Option<PathBuf>,
     /// Cancel flags of the sessions currently running, keyed by session
     /// key. A `cancel` request (from any connection) sets the flag; the
-    /// running session observes it at its next cell boundary.
+    /// running session observes it before its next batch of cells.
     cancels: Mutex<BTreeMap<String, Arc<AtomicBool>>>,
 }
 
@@ -297,7 +297,7 @@ fn serve_request(line: &str, shared: &Shared, writer: &mut impl Write) -> bool {
                 let extra = [("max_sessions", Json::u64(shared.max_sessions as u64))];
                 return send_line(writer, &error_response(&id, &err, &extra));
             };
-            let durable = spec.durable && shared.ckpt_root.is_some();
+            let durable = session::checkpoint_config(&spec, shared.ckpt_root.as_deref()).is_some();
             let accepted = event_response(
                 &id,
                 "accepted",

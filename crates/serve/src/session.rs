@@ -1,6 +1,7 @@
 //! One daemon session: a validated [`GridSpec`] turned into sweep cells,
-//! run (durably or not) on the shared worker pool, and rendered into the
-//! canonical report.
+//! run through the one checkpointed cell loop ([`checkpoint::run_cells`])
+//! — in process on the shared worker pool, or on supervised worker
+//! processes — and rendered into the canonical report.
 //!
 //! Everything here is deterministic: two sessions running the same spec
 //! — concurrently, on different thread counts, with or without the
@@ -14,9 +15,7 @@ use mph_core::algorithms::pipeline::Target;
 use mph_core::theorem::RetryPolicy;
 use mph_experiments::checkpoint::{self, CheckpointConfig};
 use mph_experiments::setup;
-use mph_experiments::shard::{
-    default_worker_cmd, run_cells_sharded, supervisor_config, ShardCell, ShardSpec,
-};
+use mph_experiments::shard::{default_worker_cmd, run_cell_sharded, supervisor_config, ShardSpec};
 use mph_experiments::sweep::{degraded, run_sweep, Cell, CellResult, CellStatus};
 use mph_experiments::Report;
 use mph_metrics::json::Json;
@@ -90,43 +89,6 @@ fn spec_target(spec: &GridSpec) -> Result<Target, ProtoError> {
         "simline" => Ok(Target::SimLine),
         other => Err(ProtoError::bad(format!("unknown target {other:?}"))),
     }
-}
-
-/// The sharded mirror of [`grid_for_spec`]: one [`ShardCell`] per window.
-/// Geometry is validated eagerly (each window's pipeline is constructed
-/// once under `catch_unwind`) so a hostile spec is a typed `bad_request`
-/// here instead of a panic inside the supervisor loop.
-pub fn shard_grid_for_spec(spec: &GridSpec) -> Result<Vec<ShardCell>, ProtoError> {
-    let target = spec_target(spec)?;
-    catch_unwind(AssertUnwindSafe(|| {
-        spec.windows
-            .iter()
-            .map(|&window| {
-                let shard_spec = ShardSpec {
-                    target,
-                    w: spec.w,
-                    v: spec.v,
-                    m: spec.m,
-                    window,
-                    s_bits: spec.s_bits,
-                    q: spec.q,
-                    seed: spec.seed,
-                };
-                shard_spec.pipeline(); // geometry check, panics contained
-                ShardCell {
-                    label: format!("window={window}"),
-                    spec: shard_spec,
-                    trials: spec.trials,
-                    base_seed: spec.seed,
-                    max_rounds: spec.max_rounds,
-                    telemetry: true,
-                }
-            })
-            .collect()
-    }))
-    .map_err(|payload| {
-        ProtoError::bad(format!("grid construction rejected: {}", panic_reason(payload.as_ref())))
-    })
 }
 
 /// The supervisor configuration for a sharded session: the standard
@@ -270,18 +232,35 @@ pub fn render_report(spec: &GridSpec, results: &[CellResult]) -> SessionOutcome 
 pub enum SessionControl {
     /// The grid ran to completion; the report is rendered.
     Done(SessionOutcome),
-    /// A cancel flag was observed at a cell boundary. Durable work up to
-    /// the boundary is checkpointed; resubmitting the grid resumes it.
+    /// A cancel flag was observed before a batch. Durable work up to the
+    /// stop is checkpointed; resubmitting the grid resumes it.
     Cancelled {
         /// Cells finalized (and streamed) before the stop.
         completed: usize,
     },
 }
 
-/// Runs one session end to end: build the grid, run the sweep (durably
-/// through the checkpoint subsystem when `spec.durable` and a checkpoint
-/// root are both present), fire `on_cell` once per finalized cell —
-/// resumed cells first, in index order — and render the report.
+/// Where and how often a session checkpoints: under
+/// `<ckpt_root>/<session key>`, when the spec is `durable` and the
+/// server has a checkpoint root; otherwise `None`, and the session runs
+/// without touching disk. The one rule for every session, in process or
+/// sharded — the `accepted` event's `durable` flag reads it too.
+///
+/// In-process sessions flush every `checkpoint_every` cells. A sharded
+/// session flushes after every cell: each of its cells runs alone on its
+/// own fleet and costs far more than a manifest write, and a batch of
+/// one keeps its stream and its cancel per cell.
+pub fn checkpoint_config(spec: &GridSpec, ckpt_root: Option<&Path>) -> Option<CheckpointConfig> {
+    ckpt_root.filter(|_| spec.durable).map(|root| CheckpointConfig {
+        dir: root.join(spec.session_key()),
+        every: if spec.shards > 1 { 1 } else { spec.checkpoint_every.max(1) },
+    })
+}
+
+/// Runs one session end to end: build the grid, run it through
+/// [`checkpoint::run_cells`] (durably when [`checkpoint_config`] says
+/// so), fire `on_cell` once per finalized cell — resumed cells first, in
+/// index order — and render the report.
 ///
 /// The durable path keys its checkpoint directory by
 /// [`GridSpec::session_key`], so a client that resubmits the same grid
@@ -304,13 +283,17 @@ pub fn run_session(
     }
 }
 
-/// [`run_session`] with a cooperative cancel flag, checked at cell (or,
-/// durably, checkpoint-batch) boundaries. `spec.shards > 1` routes the
-/// session through the multi-process shard supervisor
-/// ([`mph_experiments::shard`]): one worker process per shard, crash
-/// recovery included, reports byte-identical to the in-process path.
-/// Sharded sessions run non-durably — the supervisor's own round
-/// barriers are the recovery mechanism.
+/// [`run_session`] with a cooperative cancel flag, checked before each
+/// batch: before every cell of a sharded or undurable session, every
+/// `checkpoint_every` cells of a durable in-process one. A session
+/// differs only in how it computes a batch: [`run_sweep`] in process,
+/// or — when `spec.shards > 1` — one supervised fleet of worker
+/// processes per cell ([`mph_experiments::shard`]), crash recovery
+/// included, with reports byte-identical to the in-process path.
+/// Durability, resume and cancel are the same either way, except that a
+/// sharded cell is checkpointed only when it is `Ok`: a failed or
+/// degraded one records the machine (workers that would not start, a
+/// fleet that shrank), not the grid, so a resubmit recomputes it.
 pub fn run_session_with(
     spec: &GridSpec,
     hub: Option<&Arc<OracleHub>>,
@@ -318,77 +301,59 @@ pub fn run_session_with(
     cancel: Option<&AtomicBool>,
     on_cell: &mut dyn FnMut(usize, &CellResult),
 ) -> Result<SessionControl, ProtoError> {
-    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-    if spec.shards > 1 {
-        let cells = shard_grid_for_spec(spec)?;
-        let cfg = shard_supervisor_config(spec);
-        let mut results = Vec::with_capacity(cells.len());
-        for cell in cells {
-            if cancelled() {
-                return Ok(SessionControl::Cancelled { completed: results.len() });
-            }
-            let batch = run_cells_sharded(vec![cell], &cfg);
-            for result in batch {
-                on_cell(results.len(), &result);
-                results.push(result);
-            }
-        }
-        return Ok(SessionControl::Done(render_report(spec, &results)));
-    }
-    let cells = grid_for_spec(spec, hub)?;
-    let results = match ckpt_root.filter(|_| spec.durable) {
-        Some(root) => {
-            let ckpt = CheckpointConfig {
-                dir: root.join(spec.session_key()),
-                every: spec.checkpoint_every.max(1),
-            };
-            let mut completed = 0usize;
-            let outcome = checkpoint::run_sweep_checkpointed_cancellable(
-                cells,
-                &ckpt,
-                cancel,
-                &mut |i, res| {
-                    completed += 1;
-                    on_cell(i, res);
-                },
-            );
-            match outcome {
-                Some(results) => results,
-                None => return Ok(SessionControl::Cancelled { completed }),
-            }
-        }
-        None if cancel.is_some() => {
-            // Cell-at-a-time so the flag is honored at cell boundaries;
-            // byte-identical to one fused sweep (the determinism
-            // contract the checkpoint subsystem already leans on).
-            let mut results = Vec::with_capacity(cells.len());
-            for cell in cells {
-                if cancelled() {
-                    return Ok(SessionControl::Cancelled { completed: results.len() });
-                }
-                for result in run_sweep(vec![cell]) {
-                    on_cell(results.len(), &result);
-                    results.push(result);
-                }
-            }
-            results
-        }
-        None => {
-            let results = run_sweep(cells);
-            for (i, res) in results.iter().enumerate() {
-                on_cell(i, res);
-            }
-            results
-        }
+    // Also the geometry check of a sharded session: a hostile spec is a
+    // typed `bad_request` here, never a panic inside the supervisor.
+    let grid = grid_for_spec(spec, hub)?;
+    let ckpt = checkpoint_config(spec, ckpt_root);
+    let labels: Vec<String> = grid.iter().map(|cell| cell.label.clone()).collect();
+    let target = spec_target(spec)?;
+    let sharded = (spec.shards > 1).then(|| shard_supervisor_config(spec));
+    let mut cells: Vec<Option<Cell>> = grid.into_iter().map(Some).collect();
+    let mut compute = |batch: &[usize]| match &sharded {
+        Some(cfg) => batch
+            .iter()
+            .map(|&i| {
+                let shard_spec = ShardSpec {
+                    target,
+                    w: spec.w,
+                    v: spec.v,
+                    m: spec.m,
+                    window: spec.windows[i],
+                    s_bits: spec.s_bits,
+                    q: spec.q,
+                    seed: spec.seed,
+                };
+                run_cell_sharded(&labels[i], &shard_spec, spec.trials, spec.max_rounds, cfg)
+            })
+            .collect(),
+        None => run_sweep(batch.iter().filter_map(|&i| cells[i].take()).collect()),
     };
-    Ok(SessionControl::Done(render_report(spec, &results)))
+    let stop = |_| cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    let persist = |res: &CellResult| sharded.is_none() || res.status == CellStatus::Ok;
+    let mut completed = 0usize;
+    let results = checkpoint::run_cells(
+        &labels,
+        ckpt.as_ref(),
+        &stop,
+        &mut compute,
+        &persist,
+        &mut |i, res| {
+            completed += 1;
+            on_cell(i, res);
+        },
+    );
+    Ok(match results {
+        Some(results) => SessionControl::Done(render_report(spec, &results)),
+        None => SessionControl::Cancelled { completed },
+    })
 }
 
-/// [`run_session`] without a hub or durability — the single-process
-/// reference run the daemon's output is compared against (`mphd_smoke
-/// --local`, the determinism tests, the CI `serve-smoke` job).
+/// The single-process reference run the daemon's output is compared
+/// against (`mphd_smoke --local`, the determinism tests, the CI
+/// `serve-smoke` job): one [`run_sweep`] over the grid, no hub, no
+/// durability, no cancel, and the same renderer.
 pub fn run_local(spec: &GridSpec) -> Result<SessionOutcome, ProtoError> {
-    run_session(spec, None, None, |_, _| {})
+    Ok(render_report(spec, &run_sweep(grid_for_spec(spec, None)?)))
 }
 
 #[cfg(test)]
@@ -438,7 +403,9 @@ mod tests {
         // only the first cell completed.
         let partial = CheckpointConfig { dir: root.join(spec.session_key()), every: 1 };
         let cells = grid_for_spec(&spec, None).expect("grid");
-        assert!(checkpoint::run_sweep_checkpointed_with_abort(cells, &partial, Some(1)).is_none());
+        let aborted =
+            checkpoint::run_sweep_checkpointed_observed(cells, &partial, Some(1), &mut |_, _| {});
+        assert!(aborted.is_none());
 
         // The restarted server resumes cell 0 from disk, computes the
         // rest, and the final report is byte-identical.

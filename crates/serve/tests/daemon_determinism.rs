@@ -134,8 +134,13 @@ fn a_prepopulated_checkpoint_resumes_byte_identically_through_the_daemon() {
         every: 1,
     };
     assert!(
-        mph_experiments::checkpoint::run_sweep_checkpointed_with_abort(cells, &ckpt, Some(1))
-            .is_none(),
+        mph_experiments::checkpoint::run_sweep_checkpointed_observed(
+            cells,
+            &ckpt,
+            Some(1),
+            &mut |_, _| {}
+        )
+        .is_none(),
         "the aborted pre-population run must stop mid-grid"
     );
 
