@@ -25,7 +25,8 @@
 
 use crate::sweep::{self, Cell, CellResult, CellStatus};
 use mph_core::theorem::RoundMeasurement;
-use mph_metrics::{MetricsSnapshot, OracleTotals, RamTotals, RoundSnapshot, Totals};
+use mph_metrics::{MetricsSnapshot, OracleTotals, RamTotals, Totals};
+use mph_mpc::stats::{decode_round_stats, encode_round_stats};
 use mph_oracle::snapshot::crc32;
 use mph_oracle::{SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::BTreeMap;
@@ -143,13 +144,7 @@ fn encode_metrics_snapshot(w: &mut SnapshotWriter, snap: &MetricsSnapshot) {
     }
     w.put_u64(snap.rounds.len() as u64);
     for r in &snap.rounds {
-        w.put_u64(r.round);
-        w.put_u64(r.messages);
-        w.put_u64(r.bits_sent);
-        w.put_u64(r.oracle_queries);
-        w.put_u64(r.max_queries_one_machine);
-        w.put_u64(r.max_memory_bits);
-        w.put_u64(r.active_machines);
+        encode_round_stats(w, r);
     }
     w.put_u64(snap.totals.rounds);
     w.put_u64(snap.totals.messages);
@@ -192,15 +187,7 @@ fn decode_metrics_snapshot(r: &mut SnapshotReader<'_>) -> Result<MetricsSnapshot
     let round_count = r.get_u64()? as usize;
     let mut rounds = Vec::with_capacity(round_count.min(1 << 20));
     for _ in 0..round_count {
-        rounds.push(RoundSnapshot {
-            round: r.get_u64()?,
-            messages: r.get_u64()?,
-            bits_sent: r.get_u64()?,
-            oracle_queries: r.get_u64()?,
-            max_queries_one_machine: r.get_u64()?,
-            max_memory_bits: r.get_u64()?,
-            active_machines: r.get_u64()?,
-        });
+        rounds.push(decode_round_stats(r)?);
     }
     let totals = Totals {
         rounds: r.get_u64()?,

@@ -6,6 +6,7 @@
 //! budget `q`, and word-RAM step costs (Definition 2.3).
 
 use crate::json::Json;
+use crate::snapshot::RoundStats;
 
 /// How an oracle query was resolved, as seen by the instrumented oracle
 /// wrappers.
@@ -44,26 +45,9 @@ pub enum Event {
         /// Round index.
         round: u64,
     },
-    /// An MPC round completed, with the round's aggregate ledger (the
-    /// same quantities `mph_mpc::stats::RoundStats` tracks).
-    RoundEnd {
-        /// Round index.
-        round: u64,
-        /// Messages delivered at the end of this round.
-        messages: u64,
-        /// Total payload bits across those messages.
-        bits_sent: u64,
-        /// Oracle queries made by all machines this round.
-        oracle_queries: u64,
-        /// Largest per-machine query count this round (compared against
-        /// the per-round budget `q` of Definition 2.1).
-        max_queries_one_machine: u64,
-        /// Largest memory footprint of any machine this round, in bits
-        /// (compared against the space bound `s`).
-        max_memory_bits: u64,
-        /// Machines that sent or received at least one message.
-        active_machines: u64,
-    },
+    /// An MPC round completed (or, on the sharded path, one shard's part
+    /// of it), carrying the round's ledger.
+    RoundEnd(RoundStats),
     /// One oracle query, classified by how it was answered.
     OracleQuery {
         /// Fresh, cached, or patched.
@@ -145,7 +129,7 @@ impl Event {
     pub fn name(&self) -> &'static str {
         match self {
             Event::RoundStart { .. } => "round_start",
-            Event::RoundEnd { .. } => "round_end",
+            Event::RoundEnd(_) => "round_end",
             Event::OracleQuery { .. } => "oracle_query",
             Event::MessageRouted { .. } => "message_routed",
             Event::MemoryHighWater { .. } => "memory_high_water",
@@ -172,22 +156,8 @@ impl Event {
             Event::RoundStart { round } => {
                 pairs.push(("round".into(), Json::u64(round)));
             }
-            Event::RoundEnd {
-                round,
-                messages,
-                bits_sent,
-                oracle_queries,
-                max_queries_one_machine,
-                max_memory_bits,
-                active_machines,
-            } => {
-                pairs.push(("round".into(), Json::u64(round)));
-                pairs.push(("messages".into(), Json::u64(messages)));
-                pairs.push(("bits_sent".into(), Json::u64(bits_sent)));
-                pairs.push(("oracle_queries".into(), Json::u64(oracle_queries)));
-                pairs.push(("max_queries_one_machine".into(), Json::u64(max_queries_one_machine)));
-                pairs.push(("max_memory_bits".into(), Json::u64(max_memory_bits)));
-                pairs.push(("active_machines".into(), Json::u64(active_machines)));
+            Event::RoundEnd(stats) => {
+                pairs.extend(stats.json_fields().map(|(k, v)| (k.to_string(), v)));
             }
             Event::OracleQuery { kind } => {
                 pairs.push(("kind".into(), Json::str(kind.name())));
@@ -246,7 +216,7 @@ mod tests {
 
     #[test]
     fn round_end_renders_all_fields() {
-        let e = Event::RoundEnd {
+        let e = Event::RoundEnd(RoundStats {
             round: 2,
             messages: 5,
             bits_sent: 320,
@@ -254,7 +224,7 @@ mod tests {
             max_queries_one_machine: 3,
             max_memory_bits: 512,
             active_machines: 4,
-        };
+        });
         let s = e.to_json().to_string();
         assert!(s.starts_with(r#"{"event":"round_end","round":2,"#), "{s}");
         assert!(s.contains(r#""max_memory_bits":512"#), "{s}");

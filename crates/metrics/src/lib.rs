@@ -26,11 +26,11 @@
 //! # Example: record, snapshot, render
 //!
 //! ```
-//! use mph_metrics::{Event, MetricsSink, QueryKind, Recorder};
+//! use mph_metrics::{Event, MetricsSink, QueryKind, Recorder, RoundStats};
 //!
 //! let rec = Recorder::new();
 //! rec.set_tag("n", "64");
-//! rec.record(&Event::RoundEnd {
+//! rec.record(&Event::RoundEnd(RoundStats {
 //!     round: 0,
 //!     messages: 2,
 //!     bits_sent: 128,
@@ -38,7 +38,7 @@
 //!     max_queries_one_machine: 2,
 //!     max_memory_bits: 256,
 //!     active_machines: 2,
-//! });
+//! }));
 //! rec.record(&Event::OracleQuery { kind: QueryKind::Fresh });
 //!
 //! let snap = rec.snapshot();
@@ -62,7 +62,7 @@ pub mod snapshot;
 pub use events::{Event, QueryKind};
 pub use recorder::Recorder;
 pub use sink::{JsonlSink, MetricsSink, NullSink};
-pub use snapshot::{MetricsSnapshot, OracleTotals, RamTotals, RoundSnapshot, Totals};
+pub use snapshot::{MetricsSnapshot, OracleTotals, RamTotals, RoundStats, Totals};
 
 /// Version of the JSON schemas emitted by this crate (snapshots, JSONL
 /// events, and experiment report envelopes). Bump on any

@@ -2,7 +2,7 @@
 
 use crate::events::{Event, QueryKind};
 use crate::sink::MetricsSink;
-use crate::snapshot::{MetricsSnapshot, OracleTotals, RamTotals, RoundSnapshot, Totals};
+use crate::snapshot::{MetricsSnapshot, OracleTotals, RamTotals, RoundStats, Totals};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -19,26 +19,12 @@ thread_local! {
     static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Folds one round record into `rounds` under its round index: sums,
-/// and maxima for the two per-machine peaks — commutative, so the order
-/// in which shards fold never shows.
-fn fold_round(rounds: &mut BTreeMap<u64, RoundSnapshot>, r: &RoundSnapshot) {
-    let acc = rounds.entry(r.round).or_default();
-    acc.round = r.round;
-    acc.messages += r.messages;
-    acc.bits_sent += r.bits_sent;
-    acc.oracle_queries += r.oracle_queries;
-    acc.max_queries_one_machine = acc.max_queries_one_machine.max(r.max_queries_one_machine);
-    acc.max_memory_bits = acc.max_memory_bits.max(r.max_memory_bits);
-    acc.active_machines += r.active_machines;
-}
-
 /// One shard's accumulated state. Every field is a sum, a max, or a
 /// keyed map of sums/maxes — all commutative, so folding shards in any
 /// order yields the same totals.
 #[derive(Debug, Default)]
 struct Shard {
-    rounds: BTreeMap<u64, RoundSnapshot>,
+    rounds: BTreeMap<u64, RoundStats>,
     fresh: u64,
     cached: u64,
     patched: u64,
@@ -54,29 +40,20 @@ struct Shard {
 }
 
 impl Shard {
+    /// Folds one round record into its round's entry with
+    /// [`RoundStats::merge`]; commutative, so the order in which records
+    /// and shards fold never shows.
+    fn add_round(&mut self, r: &RoundStats) {
+        self.rounds
+            .entry(r.round)
+            .or_insert(RoundStats { round: r.round, ..RoundStats::default() })
+            .merge(r);
+    }
+
     fn apply(&mut self, event: &Event) {
         match *event {
             Event::RoundStart { .. } => {}
-            Event::RoundEnd {
-                round,
-                messages,
-                bits_sent,
-                oracle_queries,
-                max_queries_one_machine,
-                max_memory_bits,
-                active_machines,
-            } => fold_round(
-                &mut self.rounds,
-                &RoundSnapshot {
-                    round,
-                    messages,
-                    bits_sent,
-                    oracle_queries,
-                    max_queries_one_machine,
-                    max_memory_bits,
-                    active_machines,
-                },
-            ),
+            Event::RoundEnd(ref r) => self.add_round(r),
             Event::OracleQuery { kind } => match kind {
                 QueryKind::Fresh => self.fresh += 1,
                 QueryKind::Cached => self.cached += 1,
@@ -172,7 +149,7 @@ impl Recorder {
         for shard in &self.shards {
             let s = shard.lock().unwrap_or_else(|e| e.into_inner());
             for r in s.rounds.values() {
-                fold_round(&mut merged.rounds, r);
+                merged.add_round(r);
             }
             merged.fresh += s.fresh;
             merged.cached += s.cached;
@@ -194,24 +171,15 @@ impl Recorder {
             }
         }
 
-        let rounds: Vec<RoundSnapshot> = merged.rounds.into_values().collect();
-
+        let rounds: Vec<RoundStats> = merged.rounds.into_values().collect();
+        let sum = RoundStats::total(&rounds);
         let totals = Totals {
             rounds: rounds.len() as u64,
-            messages: rounds.iter().map(|r| r.messages).sum(),
-            bits_sent: rounds.iter().map(|r| r.bits_sent).sum(),
-            oracle_queries: rounds.iter().map(|r| r.oracle_queries).sum(),
-            peak_queries_one_machine: rounds
-                .iter()
-                .map(|r| r.max_queries_one_machine)
-                .max()
-                .unwrap_or(0),
-            peak_memory_bits: rounds
-                .iter()
-                .map(|r| r.max_memory_bits)
-                .max()
-                .unwrap_or(0)
-                .max(merged.memory_high_water),
+            messages: sum.messages,
+            bits_sent: sum.bits_sent,
+            oracle_queries: sum.oracle_queries,
+            peak_queries_one_machine: sum.max_queries_one_machine,
+            peak_memory_bits: sum.max_memory_bits.max(merged.memory_high_water),
             messages_routed: merged.messages_routed,
             routed_bits: merged.routed_bits,
         };
@@ -276,7 +244,7 @@ mod tests {
     #[test]
     fn round_aggregates_merge() {
         let rec = Recorder::with_shards(4);
-        rec.record(&Event::RoundEnd {
+        rec.record(&Event::RoundEnd(RoundStats {
             round: 0,
             messages: 3,
             bits_sent: 24,
@@ -284,8 +252,8 @@ mod tests {
             max_queries_one_machine: 1,
             max_memory_bits: 100,
             active_machines: 2,
-        });
-        rec.record(&Event::RoundEnd {
+        }));
+        rec.record(&Event::RoundEnd(RoundStats {
             round: 1,
             messages: 1,
             bits_sent: 8,
@@ -293,7 +261,7 @@ mod tests {
             max_queries_one_machine: 4,
             max_memory_bits: 90,
             active_machines: 1,
-        });
+        }));
         let snap = rec.snapshot();
         assert_eq!(snap.totals.rounds, 2);
         assert_eq!(snap.totals.messages, 4);

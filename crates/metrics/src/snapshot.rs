@@ -1,27 +1,82 @@
-//! The deterministic aggregate produced by [`Recorder::snapshot`].
+//! The per-round record, [`RoundStats`], and the deterministic aggregate
+//! produced by [`Recorder::snapshot`].
 //!
 //! [`Recorder::snapshot`]: crate::Recorder::snapshot
 
 use crate::json::Json;
 use std::collections::BTreeMap;
 
-/// Aggregates for one MPC round, mirroring `mph_mpc::stats::RoundStats`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RoundSnapshot {
+/// The per-round ledger of Definitions 2.1/2.2 of the paper: what one
+/// MPC round routed, how often it queried the oracle, and the largest
+/// memory image it held.
+///
+/// The executor fills one record per round (one per shard per round on
+/// the sharded path), [`Event::RoundEnd`](crate::Event::RoundEnd)
+/// carries it, and the [`Recorder`](crate::Recorder) folds it into
+/// [`MetricsSnapshot::rounds`]. `mph_mpc` re-exports it as
+/// `mph_mpc::RoundStats`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RoundStats {
     /// Round index (from 0).
     pub round: u64,
-    /// Messages delivered at the end of this round.
+    /// Messages routed out of this round.
     pub messages: u64,
-    /// Total payload bits across those messages.
+    /// Total payload bits routed out of this round.
     pub bits_sent: u64,
     /// Oracle queries made by all machines this round.
     pub oracle_queries: u64,
-    /// Largest per-machine query count this round.
+    /// Largest per-machine query count this round — the empirical value
+    /// of the per-round per-machine query budget `q` of Definition 2.1.
     pub max_queries_one_machine: u64,
-    /// Largest per-machine memory footprint this round, in bits.
+    /// Largest memory image delivered at the start of this round, in
+    /// bits — checked against the `s`-bit memory bound of Definition 2.1
+    /// at delivery time.
     pub max_memory_bits: u64,
-    /// Machines that sent or received at least one message.
+    /// Machines whose memory image held at least one message at the
+    /// start of this round.
     pub active_machines: u64,
+}
+
+impl RoundStats {
+    /// Folds `other` into this record: sums for messages, bits, queries
+    /// and active machines, maxima for the two peaks; `round` is kept.
+    /// The fold is commutative and associative, so it reassembles one
+    /// round from its shards' records in any order, and folds a whole
+    /// run into its totals ([`RoundStats::total`]).
+    pub fn merge(&mut self, other: &RoundStats) {
+        self.messages += other.messages;
+        self.bits_sent += other.bits_sent;
+        self.oracle_queries += other.oracle_queries;
+        self.max_queries_one_machine =
+            self.max_queries_one_machine.max(other.max_queries_one_machine);
+        self.max_memory_bits = self.max_memory_bits.max(other.max_memory_bits);
+        self.active_machines += other.active_machines;
+    }
+
+    /// The whole-run fold of `records` by [`RoundStats::merge`]: summed
+    /// counts and the run's two peaks (its empirical `q` and its largest
+    /// memory image). Zero for no records; `round` is always 0.
+    pub fn total<'a>(records: impl IntoIterator<Item = &'a RoundStats>) -> RoundStats {
+        let mut total = RoundStats::default();
+        for r in records {
+            total.merge(r);
+        }
+        total
+    }
+
+    /// The record's JSON fields, in their fixed order: the one rendering
+    /// behind both the `round_end` event and the snapshot's `rounds`.
+    pub(crate) fn json_fields(&self) -> [(&'static str, Json); 7] {
+        [
+            ("round", Json::u64(self.round)),
+            ("messages", Json::u64(self.messages)),
+            ("bits_sent", Json::u64(self.bits_sent)),
+            ("oracle_queries", Json::u64(self.oracle_queries)),
+            ("max_queries_one_machine", Json::u64(self.max_queries_one_machine)),
+            ("max_memory_bits", Json::u64(self.max_memory_bits)),
+            ("active_machines", Json::u64(self.active_machines)),
+        ]
+    }
 }
 
 /// Whole-run totals derived from the per-round ledger and routing events.
@@ -89,7 +144,7 @@ pub struct MetricsSnapshot {
     /// Run description tags (`n`, `s`, `q`, …), sorted by key.
     pub tags: BTreeMap<String, String>,
     /// Per-round ledger, sorted by round.
-    pub rounds: Vec<RoundSnapshot>,
+    pub rounds: Vec<RoundStats>,
     /// Whole-run totals.
     pub totals: Totals,
     /// Oracle query classification.
@@ -130,20 +185,7 @@ impl MetricsSnapshot {
                     self.tags.iter().map(|(k, v)| (k.clone(), Json::str(v.clone()))).collect(),
                 ),
             ),
-            (
-                "rounds",
-                Json::array(self.rounds.iter().map(|r| {
-                    Json::object([
-                        ("round", Json::u64(r.round)),
-                        ("messages", Json::u64(r.messages)),
-                        ("bits_sent", Json::u64(r.bits_sent)),
-                        ("oracle_queries", Json::u64(r.oracle_queries)),
-                        ("max_queries_one_machine", Json::u64(r.max_queries_one_machine)),
-                        ("max_memory_bits", Json::u64(r.max_memory_bits)),
-                        ("active_machines", Json::u64(r.active_machines)),
-                    ])
-                })),
-            ),
+            ("rounds", Json::array(self.rounds.iter().map(|r| Json::object(r.json_fields())))),
             (
                 "totals",
                 Json::object([
@@ -218,6 +260,33 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_sums_counts_and_keeps_peaks() {
+        let shard = |messages, queries, peak_q, memory, active| RoundStats {
+            round: 4,
+            messages,
+            bits_sent: 10 * messages,
+            oracle_queries: queries,
+            max_queries_one_machine: peak_q,
+            max_memory_bits: memory,
+            active_machines: active,
+        };
+        let (a, b, c) = (shard(3, 5, 4, 60, 2), shard(1, 2, 2, 80, 1), shard(0, 0, 0, 0, 0));
+        let mut merged = RoundStats { round: 4, ..RoundStats::default() };
+        for part in [&a, &b, &c] {
+            merged.merge(part);
+        }
+        assert_eq!(merged, shard(4, 7, 4, 80, 3));
+        // Order-independent: folding the other way round agrees.
+        let mut reversed = c;
+        reversed.merge(&b);
+        reversed.merge(&a);
+        assert_eq!(reversed, merged);
+        // And the whole-run fold is the same merge, from zero.
+        assert_eq!(RoundStats::total([&a, &b, &c]), RoundStats { round: 0, ..merged });
+        assert_eq!(RoundStats::total([]), RoundStats::default());
+    }
 
     #[test]
     fn empty_snapshot_renders() {

@@ -766,7 +766,7 @@ impl Simulation {
             }
         }
 
-        emit(&self.metrics, || Event::RoundEnd {
+        let stats = RoundStats {
             round: round as u64,
             messages: messages as u64,
             bits_sent: bits_sent as u64,
@@ -774,16 +774,9 @@ impl Simulation {
             max_queries_one_machine,
             max_memory_bits: max_memory_bits as u64,
             active_machines: active as u64,
-        });
-        self.stats.rounds.push(RoundStats {
-            round,
-            messages,
-            bits_sent,
-            oracle_queries,
-            max_queries_one_machine,
-            max_memory_bits,
-            active_machines: active,
-        });
+        };
+        emit(&self.metrics, || Event::RoundEnd(stats));
+        self.stats.rounds.push(stats);
         // Plane ping-pong: the outboxes just written become the read plane
         // the routed entries point into, and the plane consumed this round
         // returns to the pool to be rewritten next round (capacity intact).
@@ -1030,7 +1023,7 @@ impl Simulation {
         Ok(ShardRoundOutput {
             messages: extract.0,
             outputs: self.outputs.split_off(outputs_before),
-            stats: self.stats.rounds.last().cloned().expect("a completed round records its stats"),
+            stats: *self.stats.rounds.last().expect("a completed round records its stats"),
         })
     }
 

@@ -106,7 +106,7 @@ use crate::error::ModelViolation;
 use crate::executor::{RunResult, Simulation};
 use crate::message::{MachineId, Message};
 use crate::snapshot::SimulationSnapshot;
-use crate::stats::{RoundStats, SimStats};
+use crate::stats::{decode_round_stats, encode_round_stats, RoundStats, SimStats};
 pub use crate::transport::MAX_FRAME_BYTES;
 use crate::transport::{
     apply_recv_chaos, read_image, send_image, splitmix64, ChaosSink, ChaosSpec, FrameSink,
@@ -114,10 +114,7 @@ use crate::transport::{
 };
 use mph_bits::BitVec;
 use mph_metrics::{emit, Event, MetricsSink};
-use mph_oracle::snapshot::{
-    SnapshotError, SnapshotReader, SnapshotWriter, SECTION_HEARTBEAT, SECTION_ROUND_ACK,
-    SECTION_ROUND_MSGS, SECTION_SHARD_CONNECT, SECTION_SHARD_HELLO, SECTION_SHARD_SNAPSHOT,
-};
+use mph_oracle::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -126,6 +123,26 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Shard wire frame: supervisor → worker handshake (`SHARD_HELLO`).
+const SECTION_SHARD_HELLO: [u8; 4] = *b"SHLO";
+
+/// Shard wire frame: a round's message batch (`ROUND_MSGS`).
+const SECTION_ROUND_MSGS: [u8; 4] = *b"RMSG";
+
+/// Shard wire frame: a worker's round acknowledgement (`ROUND_ACK`).
+const SECTION_ROUND_ACK: [u8; 4] = *b"RACK";
+
+/// Shard wire frame: a worker's round-barrier snapshot (`SHARD_SNAPSHOT`).
+const SECTION_SHARD_SNAPSHOT: [u8; 4] = *b"SSNP";
+
+/// Shard wire frame: a liveness heartbeat probe or echo (`HEARTBEAT`).
+const SECTION_HEARTBEAT: [u8; 4] = *b"HBEA";
+
+/// Shard wire frame: a TCP worker identifying its connection
+/// (`SHARD_CONNECT`) — session nonce plus worker index, so stray or
+/// stale connections are rejected at accept time.
+const SECTION_SHARD_CONNECT: [u8; 4] = *b"CONN";
 
 /// Why a sharded run failed. Everything the wire, the OS, or a worker
 /// can do wrong maps onto one of these — never a panic, and never a
@@ -319,13 +336,7 @@ impl Frame {
                     Ack::Ready => w.put_u8(0),
                     Ack::Round { stats, outputs } => {
                         w.put_u8(1);
-                        w.put_u64(stats.round as u64);
-                        w.put_u64(stats.messages as u64);
-                        w.put_u64(stats.bits_sent as u64);
-                        w.put_u64(stats.oracle_queries);
-                        w.put_u64(stats.max_queries_one_machine);
-                        w.put_u64(stats.max_memory_bits as u64);
-                        w.put_u64(stats.active_machines as u64);
+                        encode_round_stats(&mut w, stats);
                         w.put_u64(outputs.len() as u64);
                         for (machine, bits) in outputs {
                             w.put_u64(*machine as u64);
@@ -393,15 +404,7 @@ impl Frame {
                 let ack = match r.get_u8()? {
                     0 => Ack::Ready,
                     1 => {
-                        let stats = RoundStats {
-                            round: decode_index(r.get_u64()?, "stats round")?,
-                            messages: decode_index(r.get_u64()?, "stats messages")?,
-                            bits_sent: decode_index(r.get_u64()?, "stats bits")?,
-                            oracle_queries: r.get_u64()?,
-                            max_queries_one_machine: r.get_u64()?,
-                            max_memory_bits: decode_index(r.get_u64()?, "stats memory")?,
-                            active_machines: decode_index(r.get_u64()?, "stats active")?,
-                        };
+                        let stats = decode_round_stats(&mut r)?;
                         let count = r.get_u64()?;
                         let mut outputs = Vec::new();
                         for _ in 0..count {
@@ -1412,11 +1415,11 @@ impl Supervisor {
         // executor's.
         let mut round_msgs: Vec<Message> = Vec::new();
         let mut round_outputs: Vec<(MachineId, BitVec)> = Vec::new();
-        let mut merged = RoundStats { round, ..RoundStats::default() };
+        let mut merged = RoundStats { round: round as u64, ..RoundStats::default() };
         let mut barriers: Vec<Vec<u8>> = Vec::with_capacity(self.workers.len());
         for (i, batch) in batches.iter().enumerate().take(self.workers.len()) {
             let reply = self.collect(i, round, batch)?;
-            if reply.stats.round != round {
+            if reply.stats.round != round as u64 {
                 return Err(ShardError::Protocol(format!(
                     "worker {i} acked round {} during round {round}",
                     reply.stats.round
@@ -1849,7 +1852,7 @@ mod tests {
         let mut rounds = 0;
         'run: for round in 0..64 {
             let mut all_msgs = Vec::new();
-            let mut merged = RoundStats { round, ..RoundStats::default() };
+            let mut merged = RoundStats { round: round as u64, ..RoundStats::default() };
             for (i, (sim, lo, hi)) in sims.iter_mut().enumerate() {
                 sim.inject_messages(&batches[i]).unwrap();
                 batches[i].clear();

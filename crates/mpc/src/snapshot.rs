@@ -23,7 +23,7 @@
 
 use crate::faults::FaultSpec;
 use crate::message::{MachineId, Message};
-use crate::stats::{RoundStats, SimStats};
+use crate::stats::{decode_round_stats, encode_round_stats, SimStats};
 use mph_bits::BitVec;
 use mph_oracle::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 
@@ -124,13 +124,7 @@ impl SimulationSnapshot {
 
         w.put_u64(self.stats.rounds.len() as u64);
         for rs in &self.stats.rounds {
-            w.put_u64(rs.round as u64);
-            w.put_u64(rs.messages as u64);
-            w.put_u64(rs.bits_sent as u64);
-            w.put_u64(rs.oracle_queries);
-            w.put_u64(rs.max_queries_one_machine);
-            w.put_u64(rs.max_memory_bits as u64);
-            w.put_u64(rs.active_machines as u64);
+            encode_round_stats(&mut w, rs);
         }
 
         w.put_bool(self.faults.is_some());
@@ -207,15 +201,7 @@ impl SimulationSnapshot {
         let round_count = r.get_u64()?;
         let mut stats = SimStats::default();
         for _ in 0..round_count {
-            stats.rounds.push(RoundStats {
-                round: r.get_u64()? as usize,
-                messages: r.get_u64()? as usize,
-                bits_sent: r.get_u64()? as usize,
-                oracle_queries: r.get_u64()?,
-                max_queries_one_machine: r.get_u64()?,
-                max_memory_bits: r.get_u64()? as usize,
-                active_machines: r.get_u64()? as usize,
-            });
+            stats.rounds.push(decode_round_stats(&mut r)?);
         }
 
         let faults = if r.get_bool()? {
@@ -261,6 +247,7 @@ impl SimulationSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::RoundStats;
 
     fn sample() -> SimulationSnapshot {
         SimulationSnapshot {

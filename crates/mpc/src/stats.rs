@@ -7,51 +7,42 @@
 //! bound), and per-round query counts (the budget `q < 2^{n/4}` of
 //! Theorem 3.1); the experiments report all of them.
 //!
-//! Every field here is also emitted as a structured event through
-//! `mph-metrics` when a sink is attached to the
-//! [`Simulation`](crate::Simulation) — the integration tests assert that
-//! the event stream reconstructs these aggregates exactly.
+//! The per-round record, [`RoundStats`], is declared once in
+//! `mph-metrics` and re-exported here: the executor fills it, the
+//! `RoundEnd` event carries it to any attached sink, and the integration
+//! tests assert that the event stream reconstructs these aggregates
+//! exactly. This module adds the whole-run view, [`SimStats`], and the
+//! one binary codec of a record, [`encode_round_stats`] and
+//! [`decode_round_stats`], which the `RACK` shard frame, the `SIMU`
+//! snapshot and the checkpoint `CELL` payload share.
 
+use mph_oracle::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use serde::{Deserialize, Serialize};
 
-/// Statistics for a single round.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RoundStats {
-    /// Round index.
-    pub round: usize,
-    /// Messages routed out of this round.
-    pub messages: usize,
-    /// Total payload bits routed out of this round.
-    pub bits_sent: usize,
-    /// Oracle queries made by all machines this round.
-    pub oracle_queries: u64,
-    /// Largest per-machine query count this round — the empirical value of
-    /// the per-round per-machine query budget `q` of Definition 2.1.
-    pub max_queries_one_machine: u64,
-    /// Largest memory image delivered at the start of this round, in bits —
-    /// checked against the `s`-bit memory bound of Definition 2.1 at
-    /// delivery time.
-    pub max_memory_bits: usize,
-    /// Number of machines that received at least one message this round.
-    pub active_machines: usize,
+pub use mph_metrics::RoundStats;
+
+/// Writes `stats` as seven little-endian `u64`s in field order.
+pub fn encode_round_stats(w: &mut SnapshotWriter, stats: &RoundStats) {
+    w.put_u64(stats.round);
+    w.put_u64(stats.messages);
+    w.put_u64(stats.bits_sent);
+    w.put_u64(stats.oracle_queries);
+    w.put_u64(stats.max_queries_one_machine);
+    w.put_u64(stats.max_memory_bits);
+    w.put_u64(stats.active_machines);
 }
 
-impl RoundStats {
-    /// Folds another shard's record of the same round into this one:
-    /// sums for messages, bits, queries and active machines, maxima for
-    /// the two peaks. The fold is commutative and associative, so a
-    /// supervisor merging its shards' records in any order reassembles
-    /// the in-process round record exactly.
-    pub fn merge(&mut self, other: &RoundStats) {
-        debug_assert_eq!(self.round, other.round, "merging records of different rounds");
-        self.messages += other.messages;
-        self.bits_sent += other.bits_sent;
-        self.oracle_queries += other.oracle_queries;
-        self.max_queries_one_machine =
-            self.max_queries_one_machine.max(other.max_queries_one_machine);
-        self.max_memory_bits = self.max_memory_bits.max(other.max_memory_bits);
-        self.active_machines += other.active_machines;
-    }
+/// Reads a record written by [`encode_round_stats`].
+pub fn decode_round_stats(r: &mut SnapshotReader<'_>) -> Result<RoundStats, SnapshotError> {
+    Ok(RoundStats {
+        round: r.get_u64()?,
+        messages: r.get_u64()?,
+        bits_sent: r.get_u64()?,
+        oracle_queries: r.get_u64()?,
+        max_queries_one_machine: r.get_u64()?,
+        max_memory_bits: r.get_u64()?,
+        active_machines: r.get_u64()?,
+    })
 }
 
 /// Statistics across a whole run.
@@ -86,28 +77,28 @@ impl SimStats {
 
     /// Total messages across all rounds.
     pub fn total_messages(&self) -> usize {
-        self.rounds.iter().map(|r| r.messages).sum()
+        RoundStats::total(&self.rounds).messages as usize
     }
 
     /// Total communication in bits across all rounds.
     pub fn total_bits(&self) -> usize {
-        self.rounds.iter().map(|r| r.bits_sent).sum()
+        RoundStats::total(&self.rounds).bits_sent as usize
     }
 
     /// Total oracle queries across all rounds.
     pub fn total_queries(&self) -> u64 {
-        self.rounds.iter().map(|r| r.oracle_queries).sum()
+        RoundStats::total(&self.rounds).oracle_queries
     }
 
     /// The largest memory image any machine ever received — must be ≤ `s`
     /// in a legal run.
     pub fn peak_memory_bits(&self) -> usize {
-        self.rounds.iter().map(|r| r.max_memory_bits).max().unwrap_or(0)
+        RoundStats::total(&self.rounds).max_memory_bits as usize
     }
 
     /// The largest per-machine, per-round query count — the empirical `q`.
     pub fn peak_queries(&self) -> u64 {
-        self.rounds.iter().map(|r| r.max_queries_one_machine).max().unwrap_or(0)
+        RoundStats::total(&self.rounds).max_queries_one_machine
     }
 }
 
@@ -145,30 +136,6 @@ mod tests {
         assert_eq!(stats.total_queries(), 7);
         assert_eq!(stats.peak_memory_bits(), 80);
         assert_eq!(stats.peak_queries(), 4);
-    }
-
-    #[test]
-    fn merge_sums_counts_and_keeps_peaks() {
-        let shard = |messages, queries, peak_q, memory, active| RoundStats {
-            round: 4,
-            messages,
-            bits_sent: 10 * messages,
-            oracle_queries: queries,
-            max_queries_one_machine: peak_q,
-            max_memory_bits: memory,
-            active_machines: active,
-        };
-        let (a, b, c) = (shard(3, 5, 4, 60, 2), shard(1, 2, 2, 80, 1), shard(0, 0, 0, 0, 0));
-        let mut merged = RoundStats { round: 4, ..RoundStats::default() };
-        for part in [&a, &b, &c] {
-            merged.merge(part);
-        }
-        assert_eq!(merged, shard(4, 7, 4, 80, 3));
-        // Order-independent: folding the other way round agrees.
-        let mut reversed = c.clone();
-        reversed.merge(&b);
-        reversed.merge(&a);
-        assert_eq!(reversed, merged);
     }
 
     #[test]

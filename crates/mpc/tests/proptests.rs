@@ -67,15 +67,15 @@ proptest! {
             sim.seed_memory(j, BitVec::zeros(1));
         }
         // Seeding looks like round-(-1) traffic; track deliveries manually.
-        let mut prev_sent = m; // m seed messages of 1 bit
-        let mut prev_bits = m;
+        let mut prev_sent = m as u64; // m seed messages of 1 bit
+        let mut prev_bits = m as u64;
         for _ in 0..=rounds {
             sim.step().unwrap();
-            let stats = sim.stats().rounds.last().unwrap().clone();
+            let stats = *sim.stats().rounds.last().unwrap();
             // What was delivered this round is what was sent last round.
             let _ = prev_sent;
-            prop_assert!(stats.max_memory_bits <= s);
-            prop_assert!(stats.bits_sent <= m * fanout * bits);
+            prop_assert!(stats.max_memory_bits <= s as u64);
+            prop_assert!(stats.bits_sent <= (m * fanout * bits) as u64);
             prev_sent = stats.messages;
             prev_bits = stats.bits_sent;
         }
@@ -83,12 +83,12 @@ proptest! {
         // Ledger self-consistency.
         let stats = sim.stats();
         prop_assert_eq!(
-            stats.total_bits(),
-            stats.rounds.iter().map(|r| r.bits_sent).sum::<usize>()
+            stats.total_bits() as u64,
+            stats.rounds.iter().map(|r| r.bits_sent).sum::<u64>()
         );
         prop_assert_eq!(
-            stats.total_messages(),
-            stats.rounds.iter().map(|r| r.messages).sum::<usize>()
+            stats.total_messages() as u64,
+            stats.rounds.iter().map(|r| r.messages).sum::<u64>()
         );
     }
 
@@ -129,7 +129,7 @@ proptest! {
                 Err(other) => prop_assert!(false, "unexpected violation {other:?}"),
             }
             // Invariant: every delivered memory image respected s.
-            prop_assert!(sim.stats().rounds.last().unwrap().max_memory_bits <= s);
+            prop_assert!(sim.stats().rounds.last().unwrap().max_memory_bits <= s as u64);
         }
     }
 

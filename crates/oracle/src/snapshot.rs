@@ -373,26 +373,6 @@ impl<'a> SnapshotReader<'a> {
 /// Section tag for a cached-oracle memo table.
 pub const SECTION_ORACLE_TABLE: [u8; 4] = *b"ORCL";
 
-/// Shard wire frame: supervisor → worker handshake (`SHARD_HELLO`).
-pub const SECTION_SHARD_HELLO: [u8; 4] = *b"SHLO";
-
-/// Shard wire frame: a round's message batch (`ROUND_MSGS`).
-pub const SECTION_ROUND_MSGS: [u8; 4] = *b"RMSG";
-
-/// Shard wire frame: a worker's round acknowledgement (`ROUND_ACK`).
-pub const SECTION_ROUND_ACK: [u8; 4] = *b"RACK";
-
-/// Shard wire frame: a worker's round-barrier snapshot (`SHARD_SNAPSHOT`).
-pub const SECTION_SHARD_SNAPSHOT: [u8; 4] = *b"SSNP";
-
-/// Shard wire frame: a liveness heartbeat probe or echo (`HEARTBEAT`).
-pub const SECTION_HEARTBEAT: [u8; 4] = *b"HBEA";
-
-/// Shard wire frame: a TCP worker identifying its connection
-/// (`SHARD_CONNECT`) — session nonce plus worker index, so stray or
-/// stale connections are rejected at accept time.
-pub const SECTION_SHARD_CONNECT: [u8; 4] = *b"CONN";
-
 /// Section tag for a query transcript.
 pub const SECTION_TRANSCRIPT: [u8; 4] = *b"TRNS";
 

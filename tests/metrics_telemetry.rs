@@ -6,7 +6,7 @@
 use mpc_hardness::core::algorithms::pipeline::{Pipeline, Target};
 use mpc_hardness::core::algorithms::BlockAssignment;
 use mpc_hardness::core::theorem;
-use mpc_hardness::metrics::{Event, MetricsSink, QueryKind, Recorder};
+use mpc_hardness::metrics::{Event, MetricsSink, QueryKind, Recorder, RoundStats};
 use mpc_hardness::mpc::partition_shards;
 use mpc_hardness::prelude::*;
 use std::sync::Arc;
@@ -47,11 +47,11 @@ fn event_sums_reconstruct_sim_stats() {
     // Per-round aggregates line up row by row.
     assert_eq!(snap.rounds.len(), stats.rounds.len());
     for (row, rs) in snap.rounds.iter().zip(&stats.rounds) {
-        assert_eq!(row.round as usize, rs.round);
-        assert_eq!(row.messages as usize, rs.messages);
-        assert_eq!(row.bits_sent as usize, rs.bits_sent);
+        assert_eq!(row.round, rs.round);
+        assert_eq!(row.messages, rs.messages);
+        assert_eq!(row.bits_sent, rs.bits_sent);
         assert_eq!(row.oracle_queries, rs.oracle_queries);
-        assert_eq!(row.active_machines as usize, rs.active_machines);
+        assert_eq!(row.active_machines, rs.active_machines);
     }
 
     // The per-message MessageRouted stream agrees with the round sums.
@@ -138,7 +138,7 @@ fn recorder_json_identical_across_shards_and_threads() {
                         rec.record(&Event::MessageRouted { bits: 16 + (i % 7) });
                         rec.record(&Event::MemoryHighWater { machine: t, bits: i });
                         rec.record(&Event::RamStep { cost: 1 + i % 4 });
-                        rec.record(&Event::RoundEnd {
+                        rec.record(&Event::RoundEnd(RoundStats {
                             round: i % 5,
                             messages: 2,
                             bits_sent: 32,
@@ -146,7 +146,7 @@ fn recorder_json_identical_across_shards_and_threads() {
                             max_queries_one_machine: 1,
                             max_memory_bits: i,
                             active_machines: 1,
-                        });
+                        }));
                     }
                 });
             }

@@ -33,7 +33,7 @@ fn arb_message(rng: &mut StdRng, m: usize) -> Message {
 fn arb_stats(rng: &mut StdRng) -> SimStats {
     let rounds = (0..rng.gen_range(0..6usize))
         .map(|round| RoundStats {
-            round,
+            round: round as u64,
             messages: rng.gen_range(0..100),
             bits_sent: rng.gen_range(0..10_000),
             oracle_queries: rng.gen_range(0..50u64),
