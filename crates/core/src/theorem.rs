@@ -14,7 +14,7 @@ use crate::line::Line;
 use crate::params::LineParams;
 use crate::simline::SimLine;
 use mph_bits::{random_blocks, BitVec};
-use mph_metrics::{emit, Event, MetricsSink, Recorder};
+use mph_metrics::{MetricsSink, Recorder};
 use mph_mpc::faults::derive_seed;
 use mph_mpc::{FaultPlan, FaultSpec, RunResult, Simulation};
 use mph_oracle::{CachedOracle, LazyOracle, Oracle, OracleHub, RandomTape, TranscriptOracle};
@@ -23,7 +23,6 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// One measured run of an algorithm on a fresh `(RO, X)` draw.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -224,41 +223,30 @@ pub fn run_tags(recorder: &Recorder, params: &LineParams, s_bits: usize, q: Opti
     recorder.set_tag("w", params.w.to_string());
 }
 
-/// A bounded retry budget with an optional per-attempt wall-clock
-/// deadline — the shared supervisor configuration for every harness that
-/// re-runs failed trials.
+/// A bounded retry budget — the shared supervisor configuration for
+/// every harness that re-runs failed trials.
 ///
-/// Semantics are deliberately explicit to leave no room for off-by-one
-/// readings:
-///
-/// * [`RetryPolicy::max_attempts`] counts **total attempts**. The first
-///   attempt is *not* a retry, so a sweep cell configured with
-///   `retries = r` maps to `max_attempts = r + 1` (see
-///   [`RetryPolicy::for_retries`], which saturates rather than
-///   overflows at `r = usize::MAX`). A policy constructed with
-///   `max_attempts = 0` is normalized to 1 at use: **at least one
-///   attempt always runs**, because a supervisor that executes zero
-///   attempts would have to fabricate a measurement out of nothing (see
-///   [`RetryPolicy::effective_attempts`]).
-/// * The deadline applies to **each attempt separately**, and an attempt
-///   survives while `elapsed <= deadline`: a trial finishing *exactly*
-///   at the deadline counts as a success; only strictly exceeding it
-///   trips the watchdog (see [`RetryPolicy::timed_out`]).
+/// [`RetryPolicy::max_attempts`] counts **total attempts**. The first
+/// attempt is *not* a retry, so a sweep cell configured with
+/// `retries = r` maps to `max_attempts = r + 1` (see
+/// [`RetryPolicy::for_retries`], which saturates rather than overflows at
+/// `r = usize::MAX`). A policy constructed with `max_attempts = 0` is
+/// normalized to 1 at use: **at least one attempt always runs**, because
+/// a supervisor that executes zero attempts would have to fabricate a
+/// measurement out of nothing (see [`RetryPolicy::effective_attempts`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts allowed; the first attempt is not a retry. A value
     /// of 0 is normalized to 1 at use ([`RetryPolicy::effective_attempts`])
     /// — at least one attempt always runs.
     pub max_attempts: usize,
-    /// Per-attempt wall-clock deadline. `None` disables the watchdog.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
-    /// One attempt, no deadline — exactly the behaviour of the
-    /// policy-free harness entry points.
+    /// One attempt — exactly the behaviour of the policy-free harness
+    /// entry points.
     fn default() -> Self {
-        RetryPolicy { max_attempts: 1, deadline: None }
+        RetryPolicy { max_attempts: 1 }
     }
 }
 
@@ -269,7 +257,7 @@ impl RetryPolicy {
     /// "retry effectively forever" instead of overflowing to a
     /// zero-attempt policy.
     pub fn for_retries(retries: usize) -> Self {
-        RetryPolicy { max_attempts: retries.saturating_add(1), ..Self::default() }
+        RetryPolicy { max_attempts: retries.saturating_add(1) }
     }
 
     /// The attempt budget actually enforced: `max_attempts`, normalized
@@ -278,19 +266,6 @@ impl RetryPolicy {
     /// harness or skip measurement entirely.
     pub fn effective_attempts(&self) -> usize {
         self.max_attempts.max(1)
-    }
-
-    /// Returns `self` with a per-attempt wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Whether an attempt that has been running for `elapsed` has
-    /// exceeded the deadline. Strict: `elapsed == deadline` is *not* a
-    /// timeout, so a trial finishing exactly at the deadline succeeds.
-    pub fn timed_out(&self, elapsed: Duration) -> bool {
-        self.deadline.is_some_and(|d| elapsed > d)
     }
 }
 
@@ -304,8 +279,6 @@ pub struct TrialOutcome {
     /// Attempts actually executed (1 ≤ `attempts` ≤
     /// [`RetryPolicy::max_attempts`]).
     pub attempts: usize,
-    /// Whether the *final* attempt was aborted by the watchdog.
-    pub timed_out: bool,
 }
 
 /// A reusable per-worker trial context.
@@ -377,76 +350,6 @@ impl TrialRunner {
         sink: Option<Arc<dyn MetricsSink>>,
         faults: Option<FaultPlan>,
     ) -> RoundMeasurement {
-        self.run_trial(pipeline, seed, s_bits, q, max_rounds, sink, faults, None).0
-    }
-
-    /// Supervised measurement: runs up to [`RetryPolicy::max_attempts`]
-    /// attempts of the trial, re-deriving the fault schedule per attempt
-    /// via [`derive_seed`] (so retries are reproducible across thread
-    /// counts), and aborting any attempt whose wall-clock time strictly
-    /// exceeds the policy deadline. Each watchdog abort emits an
-    /// [`Event::TrialTimeout`] into `sink`. Returns on the first correct
-    /// attempt or once the budget is exhausted.
-    ///
-    /// `faults` carries the spec plus the cell-level fault seed the
-    /// per-attempt schedules are derived from; `None` runs fault-free
-    /// (retries then only make sense together with a deadline).
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_with_policy<P: MeasurablePipeline + ?Sized>(
-        &mut self,
-        pipeline: &Arc<P>,
-        seed: u64,
-        s_bits: Option<usize>,
-        q: Option<u64>,
-        max_rounds: usize,
-        sink: Option<Arc<dyn MetricsSink>>,
-        faults: Option<(FaultSpec, u64)>,
-        policy: &RetryPolicy,
-    ) -> TrialOutcome {
-        let max_attempts = policy.effective_attempts();
-        let mut attempt = 0u64;
-        loop {
-            let plan = faults.map(|(spec, fault_seed)| {
-                FaultPlan::new(derive_seed(fault_seed, seed, attempt), spec)
-            });
-            let (measurement, timed_out) = self.run_trial(
-                pipeline,
-                seed,
-                s_bits,
-                q,
-                max_rounds,
-                sink.clone(),
-                plan,
-                policy.deadline,
-            );
-            if timed_out {
-                let deadline_ms = policy.deadline.map_or(0, |d| d.as_millis() as u64);
-                emit(&sink, || Event::TrialTimeout { attempt, deadline_ms });
-            }
-            let attempts = attempt as usize + 1;
-            if measurement.correct || attempts >= max_attempts {
-                return TrialOutcome { measurement, attempts, timed_out };
-            }
-            attempt += 1;
-        }
-    }
-
-    /// One attempt: the body shared by [`TrialRunner::measure_with_faults`]
-    /// (no deadline) and [`TrialRunner::measure_with_policy`]. With a
-    /// deadline the simulation runs under the executor watchdog; the
-    /// returned flag reports whether the watchdog fired.
-    #[allow(clippy::too_many_arguments)]
-    fn run_trial<P: MeasurablePipeline + ?Sized>(
-        &mut self,
-        pipeline: &Arc<P>,
-        seed: u64,
-        s_bits: Option<usize>,
-        q: Option<u64>,
-        max_rounds: usize,
-        sink: Option<Arc<dyn MetricsSink>>,
-        faults: Option<FaultPlan>,
-        deadline: Option<Duration>,
-    ) -> (RoundMeasurement, bool) {
         let (oracle, blocks) = draw_instance(pipeline.params(), seed);
         let oracle: Arc<dyn Oracle> = match &self.hub {
             Some(hub) => hub.oracle(oracle.seed(), oracle.n_in(), oracle.n_out()),
@@ -470,30 +373,59 @@ impl TrialRunner {
             Some(plan) => sim.set_fault_plan(plan),
             None => sim.clear_fault_plan(),
         };
-        let run = match deadline {
-            None => sim.run_until_output(max_rounds).map(|result| (result, false)),
-            Some(d) => {
-                let start = Instant::now();
-                sim.run_with_watchdog(max_rounds, &mut || start.elapsed() > d)
-            }
-        };
-        let (measurement, timed_out) = match run {
-            Ok((result, timed_out)) => (RoundMeasurement::of(&result, &expected), timed_out),
+        let measurement = match sim.run_until_output(max_rounds) {
+            Ok(result) => RoundMeasurement::of(&result, &expected),
             Err(violation) => {
                 assert!(faults.is_some(), "model violations are config bugs here: {violation}");
-                let measurement = RoundMeasurement {
+                RoundMeasurement {
                     rounds: sim.round(),
                     completed: false,
                     correct: false,
                     total_queries: sim.stats().total_queries(),
                     peak_memory_bits: sim.stats().peak_memory_bits(),
                     total_comm_bits: sim.stats().total_bits(),
-                };
-                (measurement, false)
+                }
             }
         };
         self.sim = Some(sim);
-        (measurement, timed_out)
+        measurement
+    }
+
+    /// Supervised measurement: runs up to [`RetryPolicy::max_attempts`]
+    /// attempts of the trial, re-deriving the fault schedule per attempt
+    /// via [`derive_seed`] (so retries are reproducible across thread
+    /// counts). Returns on the first correct attempt or once the budget
+    /// is exhausted.
+    ///
+    /// `faults` carries the spec plus the cell-level fault seed the
+    /// per-attempt schedules are derived from; `None` runs fault-free,
+    /// and every retry then repeats the first attempt exactly.
+    #[allow(clippy::too_many_arguments)]
+    pub fn measure_with_policy<P: MeasurablePipeline + ?Sized>(
+        &mut self,
+        pipeline: &Arc<P>,
+        seed: u64,
+        s_bits: Option<usize>,
+        q: Option<u64>,
+        max_rounds: usize,
+        sink: Option<Arc<dyn MetricsSink>>,
+        faults: Option<(FaultSpec, u64)>,
+        policy: &RetryPolicy,
+    ) -> TrialOutcome {
+        let max_attempts = policy.effective_attempts();
+        let mut attempt = 0u64;
+        loop {
+            let plan = faults.map(|(spec, fault_seed)| {
+                FaultPlan::new(derive_seed(fault_seed, seed, attempt), spec)
+            });
+            let measurement =
+                self.measure_with_faults(pipeline, seed, s_bits, q, max_rounds, sink.clone(), plan);
+            let attempts = attempt as usize + 1;
+            if measurement.correct || attempts >= max_attempts {
+                return TrialOutcome { measurement, attempts };
+            }
+            attempt += 1;
+        }
     }
 }
 
@@ -863,43 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_times_out_and_exhausts_the_budget() {
-        // A deadline of zero fails fast: a multi-round pipeline can never
-        // outrun the watchdog, every attempt is aborted, and each abort
-        // lands in the recorder as a timeout tally.
-        let p = pipeline(40, 8, 4, 3, Target::Line);
-        let recorder = Arc::new(Recorder::new());
-        let policy = RetryPolicy::for_retries(1).with_deadline(Duration::ZERO);
-        let mut runner = TrialRunner::new();
-        let outcome = runner.measure_with_policy(
-            &p,
-            3,
-            None,
-            None,
-            10_000,
-            Some(recorder.clone()),
-            None,
-            &policy,
-        );
-        assert!(outcome.timed_out);
-        assert!(!outcome.measurement.completed);
-        assert!(!outcome.measurement.correct);
-        assert_eq!(outcome.attempts, policy.max_attempts);
-        assert_eq!(recorder.snapshot().timeouts, policy.max_attempts as u64);
-    }
-
-    #[test]
-    fn finishing_exactly_at_the_deadline_is_not_a_timeout() {
-        // The watchdog predicate is strict: elapsed == deadline survives,
-        // only strictly exceeding it trips.
-        let policy = RetryPolicy::default().with_deadline(Duration::from_millis(5));
-        assert!(!policy.timed_out(Duration::from_millis(5)));
-        assert!(policy.timed_out(Duration::from_millis(5) + Duration::from_nanos(1)));
-        // No deadline: nothing ever times out.
-        assert!(!RetryPolicy::default().timed_out(Duration::from_secs(3600)));
-    }
-
-    #[test]
     fn default_policy_matches_the_policy_free_path() {
         let p = pipeline(40, 8, 4, 3, Target::SimLine);
         let mut runner = TrialRunner::new();
@@ -914,7 +809,6 @@ mod tests {
             &RetryPolicy::default(),
         );
         assert_eq!(outcome.attempts, 1);
-        assert!(!outcome.timed_out);
         assert_eq!(outcome.measurement, measure_rounds(&p, 7, None, None, 10_000));
     }
 
@@ -979,7 +873,7 @@ mod tests {
     fn zero_attempt_policies_still_run_one_attempt() {
         // A client-supplied policy with max_attempts = 0 must neither
         // panic nor skip measurement: it normalizes to one attempt.
-        let zero = RetryPolicy { max_attempts: 0, ..RetryPolicy::default() };
+        let zero = RetryPolicy { max_attempts: 0 };
         assert_eq!(zero.effective_attempts(), 1);
         let p = pipeline(40, 8, 4, 3, Target::Line);
         let mut runner = TrialRunner::new();

@@ -107,9 +107,23 @@ pub fn encode_cell_result(result: &CellResult) -> Vec<u8> {
 }
 
 /// Decodes a [`CellResult`] serialized by [`encode_cell_result`].
+///
+/// Decoding is exact: the `CELL` section must span the rest of the
+/// container, every map must list its keys in the strictly increasing
+/// order [`encode_cell_result`] writes, and no byte may follow the last
+/// field. Bytes that decode therefore re-encode to themselves, and a
+/// payload of another layout (such as one that still carries a retired
+/// field) is a [`SnapshotError::Malformed`] that resume recomputes,
+/// never a cell read with its fields shifted.
 pub fn decode_cell_result(bytes: &[u8]) -> Result<CellResult, SnapshotError> {
     let mut r = SnapshotReader::new(bytes)?;
-    r.begin_section(&SECTION_CELL)?;
+    let len = r.begin_section(&SECTION_CELL)?;
+    if len != r.remaining() as u64 {
+        return Err(SnapshotError::Malformed(format!(
+            "CELL section declares {len} bytes but {} follow",
+            r.remaining()
+        )));
+    }
     let label = r.get_str()?;
     let status = match r.get_u8()? {
         0 => CellStatus::Ok,
@@ -132,16 +146,51 @@ pub fn decode_cell_result(bytes: &[u8]) -> Result<CellResult, SnapshotError> {
     let mean_rounds = r.get_f64()?;
     let retries_used = r.get_u64()? as usize;
     let snapshot = if r.get_bool()? { Some(decode_metrics_snapshot(&mut r)?) } else { None };
+    if r.remaining() > 0 {
+        return Err(SnapshotError::Malformed(format!(
+            "{} bytes after the last CELL field",
+            r.remaining()
+        )));
+    }
     Ok(CellResult { label, status, measurements, mean_rounds, retries_used, snapshot })
+}
+
+/// Writes a string-keyed map: its length, then each key (in the map's
+/// sorted order) followed by its value.
+fn put_map<V>(
+    w: &mut SnapshotWriter,
+    map: &BTreeMap<String, V>,
+    put: impl Fn(&mut SnapshotWriter, &V),
+) {
+    w.put_u64(map.len() as u64);
+    for (k, v) in map {
+        w.put_str(k);
+        put(w, v);
+    }
+}
+
+/// Reads a map written by [`put_map`], refusing keys that are not
+/// strictly increasing: a duplicate or reordered key would decode to a
+/// map that re-encodes to other bytes.
+fn get_map<'a, V>(
+    r: &mut SnapshotReader<'a>,
+    get: impl Fn(&mut SnapshotReader<'a>) -> Result<V, SnapshotError>,
+) -> Result<BTreeMap<String, V>, SnapshotError> {
+    let mut map = BTreeMap::new();
+    for _ in 0..r.get_u64()? {
+        let k = r.get_str()?;
+        if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+            return Err(SnapshotError::Malformed(format!("map key {k:?} out of order")));
+        }
+        let v = get(r)?;
+        map.insert(k, v);
+    }
+    Ok(map)
 }
 
 fn encode_metrics_snapshot(w: &mut SnapshotWriter, snap: &MetricsSnapshot) {
     w.put_u32(snap.schema_version);
-    w.put_u64(snap.tags.len() as u64);
-    for (k, v) in &snap.tags {
-        w.put_str(k);
-        w.put_str(v);
-    }
+    put_map(w, &snap.tags, |w, v| w.put_str(v));
     w.put_u64(snap.rounds.len() as u64);
     for r in &snap.rounds {
         encode_round_stats(w, r);
@@ -159,31 +208,14 @@ fn encode_metrics_snapshot(w: &mut SnapshotWriter, snap: &MetricsSnapshot) {
     w.put_u64(snap.oracle.patched);
     w.put_u64(snap.ram.steps);
     w.put_u64(snap.ram.cost);
-    for map in [&snap.violations, &snap.faults] {
-        w.put_u64(map.len() as u64);
-        for (k, v) in map {
-            w.put_str(k);
-            w.put_u64(*v);
-        }
-    }
-    w.put_u64(snap.timeouts);
-    // Appended after `timeouts` so payloads written before the worker
-    // tally existed decode as Truncated and silently degrade to
-    // recomputation — the codec's standing damaged-cell policy.
-    w.put_u64(snap.workers.len() as u64);
-    for (k, v) in &snap.workers {
-        w.put_str(k);
-        w.put_u64(*v);
+    for map in [&snap.violations, &snap.faults, &snap.workers] {
+        put_map(w, map, |w, v| w.put_u64(*v));
     }
 }
 
 fn decode_metrics_snapshot(r: &mut SnapshotReader<'_>) -> Result<MetricsSnapshot, SnapshotError> {
     let schema_version = r.get_u32()?;
-    let mut tags = BTreeMap::new();
-    for _ in 0..r.get_u64()? {
-        let k = r.get_str()?;
-        tags.insert(k, r.get_str()?);
-    }
+    let tags = get_map(r, SnapshotReader::get_str)?;
     let round_count = r.get_u64()? as usize;
     let mut rounds = Vec::with_capacity(round_count.min(1 << 20));
     for _ in 0..round_count {
@@ -201,20 +233,9 @@ fn decode_metrics_snapshot(r: &mut SnapshotReader<'_>) -> Result<MetricsSnapshot
     };
     let oracle = OracleTotals { fresh: r.get_u64()?, cached: r.get_u64()?, patched: r.get_u64()? };
     let ram = RamTotals { steps: r.get_u64()?, cost: r.get_u64()? };
-    let mut maps: [BTreeMap<String, u64>; 2] = [BTreeMap::new(), BTreeMap::new()];
-    for map in &mut maps {
-        for _ in 0..r.get_u64()? {
-            let k = r.get_str()?;
-            map.insert(k, r.get_u64()?);
-        }
-    }
-    let [violations, faults] = maps;
-    let timeouts = r.get_u64()?;
-    let mut workers = BTreeMap::new();
-    for _ in 0..r.get_u64()? {
-        let k = r.get_str()?;
-        workers.insert(k, r.get_u64()?);
-    }
+    let violations = get_map(r, SnapshotReader::get_u64)?;
+    let faults = get_map(r, SnapshotReader::get_u64)?;
+    let workers = get_map(r, SnapshotReader::get_u64)?;
     Ok(MetricsSnapshot {
         schema_version,
         tags,
@@ -224,7 +245,6 @@ fn decode_metrics_snapshot(r: &mut SnapshotReader<'_>) -> Result<MetricsSnapshot
         ram,
         violations,
         faults,
-        timeouts,
         workers,
     })
 }
@@ -845,5 +865,175 @@ mod tests {
         let resumed = run_sweep_checkpointed(small, &ckpt);
         assert_same(&baseline, &resumed);
         clean_dir(&ckpt.dir);
+    }
+
+    /// Stamps a worker tally on each result's telemetry, as a sharded
+    /// cell carries one.
+    fn with_worker_tally(mut results: Vec<CellResult>) -> Vec<CellResult> {
+        for r in &mut results {
+            let snap = r.snapshot.as_mut().expect("grid cells record telemetry");
+            snap.workers.insert("round_ack".into(), 12);
+            snap.workers.insert("spawn".into(), 2);
+        }
+        results
+    }
+
+    /// Patches the section length of an unsealed `CELL` container (its
+    /// bytes without the CRC trailer) and seals it with its CRC.
+    fn seal(mut unsealed: Vec<u8>) -> Vec<u8> {
+        let len = (unsealed.len() - 18) as u64;
+        unsealed[10..18].copy_from_slice(&len.to_le_bytes());
+        let crc = crc32(&unsealed);
+        unsealed.extend_from_slice(&crc.to_le_bytes());
+        unsealed
+    }
+
+    /// Rewrites a payload in the layout that still carried the 8-byte
+    /// `timeouts` count between the fault map and the worker tally.
+    fn with_timeouts_slot(bytes: &[u8], workers: &BTreeMap<String, u64>) -> Vec<u8> {
+        let tally = 8 + workers.keys().map(|k| 16 + k.len()).sum::<usize>();
+        let at = bytes.len() - 4 - tally;
+        seal([&bytes[..at], &[0u8; 8], &bytes[at..bytes.len() - 4]].concat())
+    }
+
+    /// A tallied durable run over [`grid`]: its results and the batches
+    /// it computed.
+    fn tallied_run(ckpt: &CheckpointConfig) -> (Vec<CellResult>, Vec<Vec<usize>>) {
+        let mut batches = Vec::new();
+        let mut compute = sweep_batches(&mut batches);
+        let results = run_cells(
+            &labels(),
+            Some(ckpt),
+            &|_| false,
+            &mut |batch| with_worker_tally(compute(batch)),
+            &|_| true,
+            &mut |_, _| {},
+        )
+        .expect("runs to completion");
+        drop(compute);
+        (results, batches)
+    }
+
+    #[test]
+    fn cells_in_the_timeouts_layout_are_recomputed() {
+        let ckpt = tmp("timeouts_layout");
+        let (uninterrupted, batches) = tallied_run(&ckpt);
+        assert_eq!(batches, vec![vec![0, 1], vec![2, 3], vec![4]]);
+        // Cell 1 and its manifest digest as a checkpoint written with the
+        // `timeouts` slot left them. Read field by field, its zero count
+        // would be taken for an empty worker tally and the real tally
+        // dropped; exact decoding refuses it instead.
+        let workers = &uninterrupted[1].snapshot.as_ref().unwrap().workers;
+        let old = with_timeouts_slot(&std::fs::read(ckpt.cell_path(1)).unwrap(), workers);
+        match decode_cell_result(&old).err() {
+            Some(SnapshotError::Malformed(why)) => {
+                assert_eq!(why, "54 bytes after the last CELL field")
+            }
+            other => panic!("expected a Malformed error, got {other:?}"),
+        }
+        std::fs::write(ckpt.cell_path(1), &old).unwrap();
+        let (every, total, mut entries) =
+            decode_manifest(&std::fs::read(ckpt.manifest_bin()).unwrap()).unwrap();
+        entries.iter_mut().find(|e| e.index == 1).unwrap().digest = crc32(&old);
+        std::fs::write(ckpt.manifest_bin(), encode_manifest(every, total, &entries)).unwrap();
+
+        let (resumed, batches) = tallied_run(&ckpt);
+        assert_eq!(batches, vec![vec![1]], "only the old-layout cell is recomputed");
+        for (got, want) in resumed.iter().zip(&uninterrupted) {
+            assert_eq!(encode_cell_result(got), encode_cell_result(want), "{}", want.label);
+        }
+        assert_eq!(
+            std::fs::read(ckpt.cell_path(1)).unwrap(),
+            encode_cell_result(&uninterrupted[1])
+        );
+        clean_dir(&ckpt.dir);
+    }
+
+    #[test]
+    fn unordered_map_keys_are_malformed() {
+        let mut result = sweep::run_sweep(vec![cell("keys", Target::Line, 1, 10)]).remove(0);
+        result.snapshot.as_mut().unwrap().tags =
+            BTreeMap::from([("a".into(), "1".into()), ("b".into(), "2".into())]);
+        let bytes = encode_cell_result(&result);
+        // Each tag is `len ‖ key ‖ len ‖ value`, 18 bytes here: swap the two.
+        let entry = [&1u64.to_le_bytes()[..], b"a", &1u64.to_le_bytes(), b"1"].concat();
+        let at = bytes.windows(18).position(|w| w == entry).expect("tag `a` is encoded");
+        let mut bad = bytes[..bytes.len() - 4].to_vec();
+        bad[at..at + 36].rotate_left(18);
+        match decode_cell_result(&seal(bad)).err() {
+            Some(SnapshotError::Malformed(why)) => assert_eq!(why, r#"map key "a" out of order"#),
+            other => panic!("expected a Malformed error, got {other:?}"),
+        }
+    }
+
+    /// Payloads of every status, with fault and worker tallies, for the
+    /// structural mutation proptest.
+    fn payloads() -> &'static [Vec<u8>] {
+        static PAYLOADS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+        PAYLOADS.get_or_init(|| {
+            let spec = FaultSpec { drop_rate: 0.05, ..FaultSpec::default() };
+            let doomed = FaultSpec { crash_rate: 1.0, ..FaultSpec::default() };
+            let mut poisoned = cell("poisoned", Target::Line, 2, 10);
+            poisoned.s_bits = Some(1);
+            let mut cells = vec![
+                cell("faulty", Target::SimLine, 3, 50).with_faults(spec, 7, 2),
+                poisoned,
+                cell("doomed", Target::SimLine, 2, 50).with_faults(doomed, 7, 0),
+            ];
+            // A trial that loses its token runs to the round cap; a short
+            // cap keeps the payloads, and each case's CRC over them, small.
+            for c in &mut cells {
+                c.max_rounds = 40;
+            }
+            let results = sweep::run_sweep(cells);
+            assert_eq!(results[0].status, CellStatus::Ok);
+            assert!(results[1].status.is_failed() && results[2].status.is_degraded());
+            let mut payloads: Vec<Vec<u8>> = results.iter().map(encode_cell_result).collect();
+            payloads.extend(with_worker_tally(results).iter().map(encode_cell_result));
+            payloads
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Structure-aware corruption behind an intact frame: insert, cut
+        /// or overwrite bytes inside the `CELL` section, then re-seal the
+        /// section length and the CRC so the field decoders see the
+        /// damage. Every case is a typed error or decodes to a cell that
+        /// re-encodes to exactly the mutated bytes.
+        #[test]
+        fn resealed_structural_mutations_decode_exactly_or_not_at_all(
+            which in 0usize..6,
+            at in proptest::prelude::any::<u64>(),
+            op in 0u8..3,
+            k in 1usize..24,
+            fill in proptest::prelude::any::<u8>(),
+        ) {
+            let bytes = &payloads()[which];
+            let body = 18..bytes.len() - 4;
+            let at = body.start + (at % body.len() as u64) as usize;
+            let mut bad = bytes[..bytes.len() - 4].to_vec();
+            match op {
+                0 => {
+                    bad.splice(at..at, vec![fill; k]);
+                }
+                1 => {
+                    bad.drain(at..(at + k).min(body.end));
+                }
+                _ => {
+                    for b in &mut bad[at..(at + k).min(body.end)] {
+                        *b ^= fill | 1;
+                    }
+                }
+            }
+            let bad = seal(bad);
+            if let Ok(cell) = decode_cell_result(&bad) {
+                proptest::prop_assert!(
+                    encode_cell_result(&cell) == bad,
+                    "payload {which}, op {op} at byte {at}: decoded bytes re-encode differently"
+                );
+            }
+        }
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! The identity argument stacks three layers, each pinned by tests:
 //! the worker builds its simulation by the exact recipe
-//! `TrialRunner::run_trial` uses (same draw, same tape, same build);
-//! `Simulation::step_shard` extracts rounds that reassemble the
+//! `TrialRunner::measure_with_faults` uses (same draw, same tape, same
+//! build); `Simulation::step_shard` extracts rounds that reassemble the
 //! in-process transcript (mpc shard tests); and the supervisor merges
 //! shard statistics with the same sums/maxes the executor computes
 //! (`shard_equivalence` integration test, over shard counts 1/2/4/7 and
@@ -36,7 +36,6 @@ use mph_oracle::{CachedOracle, Oracle, OracleHub, RandomTape};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Section tag of the demo-family worker spec container.
 pub const SECTION_SHARD_SPEC: [u8; 4] = *b"SPEC";
@@ -221,28 +220,21 @@ fn serve_tcp(
     worker_serve_with(stream, out, Some(nonce), build)
 }
 
-/// Fallback round deadline when the retry policy carries none: generous
-/// enough that no healthy demo round ever trips it (crashes are caught by
-/// pipe EOF long before), tight enough that a truly hung worker does not
-/// stall a session forever.
-pub const DEFAULT_ROUND_DEADLINE: Duration = Duration::from_secs(60);
-
 /// Minimum per-worker respawn budget: even a policy with a single attempt
 /// gets a few respawns, because a worker crash is transient infrastructure
 /// noise, not a failed measurement (replay reproduces the round exactly).
 pub const MIN_RESPAWNS: usize = 3;
 
 /// Derives a [`SupervisorConfig`] from the shared [`RetryPolicy`]: the
-/// per-reply deadline is the policy deadline (with
-/// [`DEFAULT_ROUND_DEADLINE`] as the hang backstop), the respawn budget
-/// is the larger of the policy's retry count and [`MIN_RESPAWNS`].
+/// respawn budget is the larger of the policy's retry count and
+/// [`MIN_RESPAWNS`]; everything else keeps [`SupervisorConfig::new`]'s
+/// defaults.
 pub fn supervisor_config(
     shards: usize,
     policy: &RetryPolicy,
     worker_cmd: Vec<String>,
 ) -> SupervisorConfig {
     let mut cfg = SupervisorConfig::new(shards, worker_cmd);
-    cfg.round_deadline = policy.deadline.unwrap_or(DEFAULT_ROUND_DEADLINE);
     cfg.max_respawns = (policy.effective_attempts() - 1).max(MIN_RESPAWNS);
     cfg
 }
@@ -488,11 +480,9 @@ mod tests {
     #[test]
     fn supervisor_config_honors_policy_and_floors() {
         let cfg = supervisor_config(4, &RetryPolicy::default(), vec!["w".into()]);
-        assert_eq!(cfg.round_deadline, DEFAULT_ROUND_DEADLINE);
+        assert_eq!(cfg.round_deadline, SupervisorConfig::new(4, Vec::new()).round_deadline);
         assert_eq!(cfg.max_respawns, MIN_RESPAWNS);
-        let policy = RetryPolicy::for_retries(9).with_deadline(Duration::from_secs(5));
-        let cfg = supervisor_config(2, &policy, vec!["w".into()]);
-        assert_eq!(cfg.round_deadline, Duration::from_secs(5));
+        let cfg = supervisor_config(2, &RetryPolicy::for_retries(9), vec!["w".into()]);
         assert_eq!(cfg.max_respawns, 9);
     }
 }

@@ -11,12 +11,12 @@
 //! renames a field fails here even when it still round-trips.
 
 use mph_bits::BitVec;
-use mph_experiments::checkpoint::encode_cell_result;
+use mph_experiments::checkpoint::{decode_cell_result, encode_cell_result};
 use mph_experiments::sweep::{CellResult, CellStatus};
 use mph_metrics::{Event, MetricsSink, Recorder};
 use mph_mpc::shard::{Ack, Frame};
 use mph_mpc::{Inbox, Message, Outbox, RoundCtx, SimStats, Simulation, SimulationSnapshot};
-use mph_oracle::{LazyOracle, RandomTape};
+use mph_oracle::{LazyOracle, RandomTape, SnapshotError};
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -86,6 +86,10 @@ fn hex(bytes: &[u8]) -> String {
     })
 }
 
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+}
+
 #[test]
 fn the_record_holds_the_round_ledger() {
     let (stats, _) = ledger_round();
@@ -140,6 +144,20 @@ fn cell_payload_bytes_are_pinned() {
         snapshot: Some(capture.recorder.snapshot()),
     };
     assert_eq!(hex(&encode_cell_result(&cell)), CELL);
+    let decoded = decode_cell_result(&unhex(CELL)).expect("the pinned payload decodes");
+    assert_eq!(hex(&encode_cell_result(&decoded)), CELL);
+}
+
+#[test]
+fn the_timeouts_layout_is_refused() {
+    // Its zero `timeouts` would read as an empty worker tally, leaving the
+    // real tally's count behind the last field.
+    match decode_cell_result(&unhex(CELL_WITH_TIMEOUTS)).err() {
+        Some(SnapshotError::Malformed(why)) => {
+            assert_eq!(why, "8 bytes after the last CELL field")
+        }
+        other => panic!("expected a Malformed error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -207,6 +225,49 @@ const SIMU: &str = concat!(
 
 /// The `CELL` payload: cell fields, then the one-round metrics snapshot.
 const CELL: &str = concat!(
+    "4d504853",         // magic `MPHS`
+    "0100",             // container version
+    "43454c4c",         // section tag `CELL`
+    "f400000000000000", // section length
+    "0600000000000000", // label length
+    "676f6c64656e",     // label `golden`
+    "00",               // status: ok
+    "0000000000000000", // measurement count
+    "000000000000f03f", // mean rounds 1.0
+    "0000000000000000", // retries used
+    "01",               // snapshot present
+    "01000000",         // schema version
+    "0000000000000000", // tag count
+    "0100000000000000", // round record count
+    "0300000000000000", // round
+    "0700000000000000", // messages
+    "5700000000000000", // bits_sent
+    "0500000000000000", // oracle_queries
+    "0300000000000000", // max_queries_one_machine
+    "2800000000000000", // max_memory_bits
+    "0200000000000000", // active_machines
+    "0100000000000000", // totals.rounds
+    "0700000000000000", // totals.messages
+    "5700000000000000", // totals.bits_sent
+    "0500000000000000", // totals.oracle_queries
+    "0300000000000000", // totals.peak_queries_one_machine
+    "2800000000000000", // totals.peak_memory_bits
+    "0700000000000000", // totals.messages_routed
+    "5700000000000000", // totals.routed_bits
+    "0000000000000000", // oracle.fresh
+    "0000000000000000", // oracle.cached
+    "0000000000000000", // oracle.patched
+    "0000000000000000", // ram.steps
+    "0000000000000000", // ram.cost
+    "0000000000000000", // violation count
+    "0000000000000000", // fault count
+    "0000000000000000", // worker count
+    "1be600a5",         // CRC32
+);
+
+/// The same payload in the layout that carried the retired watchdog's
+/// `timeouts` count between the fault map and the worker tally.
+const CELL_WITH_TIMEOUTS: &str = concat!(
     "4d504853",         // magic `MPHS`
     "0100",             // container version
     "43454c4c",         // section tag `CELL`

@@ -91,15 +91,6 @@ pub enum Event {
         /// The round in which the fault took effect.
         round: u64,
     },
-    /// A trial exceeded its wall-clock deadline and was aborted by the
-    /// watchdog (`mph_core::theorem::RetryPolicy`); the supervisor may
-    /// retry it with a reseeded fault schedule.
-    TrialTimeout {
-        /// Which attempt timed out (0 is the first attempt).
-        attempt: u64,
-        /// The deadline that was exceeded, in milliseconds.
-        deadline_ms: u64,
-    },
     /// A worker-process lifecycle transition observed by the shard
     /// supervisor (`mph_mpc::shard`): `spawn` when a worker process
     /// starts, `round_ack` per round acknowledgement received, `crash`
@@ -136,7 +127,6 @@ impl Event {
             Event::RamStep { .. } => "ram_step",
             Event::ModelViolation { .. } => "model_violation",
             Event::Fault { .. } => "fault",
-            Event::TrialTimeout { .. } => "trial_timeout",
             Event::Worker { .. } => "worker",
         }
     }
@@ -180,10 +170,6 @@ impl Event {
                 pairs.push(("machine".into(), Json::u64(machine)));
                 pairs.push(("round".into(), Json::u64(round)));
             }
-            Event::TrialTimeout { attempt, deadline_ms } => {
-                pairs.push(("attempt".into(), Json::u64(attempt)));
-                pairs.push(("deadline_ms".into(), Json::u64(deadline_ms)));
-            }
             Event::Worker { kind, worker, round } => {
                 pairs.push(("kind".into(), Json::str(kind)));
                 pairs.push(("worker".into(), Json::u64(worker)));
@@ -202,16 +188,6 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(Event::RoundStart { round: 0 }.name(), "round_start");
         assert_eq!(QueryKind::Patched.name(), "patched");
-        assert_eq!(Event::TrialTimeout { attempt: 0, deadline_ms: 0 }.name(), "trial_timeout");
-    }
-
-    #[test]
-    fn trial_timeout_renders_its_fields() {
-        let e = Event::TrialTimeout { attempt: 2, deadline_ms: 1500 };
-        assert_eq!(
-            e.to_json().to_string(),
-            r#"{"event":"trial_timeout","attempt":2,"deadline_ms":1500}"#
-        );
     }
 
     #[test]

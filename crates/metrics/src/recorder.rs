@@ -35,7 +35,6 @@ struct Shard {
     ram_cost: u64,
     violations: BTreeMap<&'static str, u64>,
     faults: BTreeMap<&'static str, u64>,
-    timeouts: u64,
     workers: BTreeMap<&'static str, u64>,
 }
 
@@ -75,9 +74,6 @@ impl Shard {
             }
             Event::Fault { kind, .. } => {
                 *self.faults.entry(kind).or_insert(0) += 1;
-            }
-            Event::TrialTimeout { .. } => {
-                self.timeouts += 1;
             }
             Event::Worker { kind, .. } => {
                 *self.workers.entry(kind).or_insert(0) += 1;
@@ -165,7 +161,6 @@ impl Recorder {
             for (kind, count) in &s.faults {
                 *merged.faults.entry(kind).or_insert(0) += count;
             }
-            merged.timeouts += s.timeouts;
             for (kind, count) in &s.workers {
                 *merged.workers.entry(kind).or_insert(0) += count;
             }
@@ -197,7 +192,6 @@ impl Recorder {
             ram: RamTotals { steps: merged.ram_steps, cost: merged.ram_cost },
             violations: merged.violations.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             faults: merged.faults.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-            timeouts: merged.timeouts,
             workers: merged.workers.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
         }
     }

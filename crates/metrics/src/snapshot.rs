@@ -157,9 +157,6 @@ pub struct MetricsSnapshot {
     /// runs with an active `mph_mpc::faults::FaultPlan`; empty for every
     /// fault-free run.
     pub faults: BTreeMap<String, u64>,
-    /// Trials aborted by the wall-clock watchdog
-    /// (`Event::TrialTimeout`). Zero for every run without a deadline.
-    pub timeouts: u64,
     /// Worker-process lifecycle counts by transition kind
     /// (`spawn`/`round_ack`/`crash`/`respawn`/`reconnect`/`replay`/
     /// `heartbeat`/`hb_echo`/`redistribute`/`degrade`), sorted by kind.
@@ -171,10 +168,9 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Renders the snapshot as a JSON document.
     ///
-    /// The `faults` object is included only when at least one fault was
-    /// recorded, and the `timeouts` count only when nonzero: fault-free,
-    /// deadline-free runs (the only kind that existed before the
-    /// fault-injection and watchdog subsystems) keep rendering
+    /// The `faults` and `workers` objects are included only when
+    /// nonempty: fault-free in-process runs (the only kind that existed
+    /// before the fault-injection and shard subsystems) keep rendering
     /// byte-identically under schema version 1.
     pub fn to_json(&self) -> Json {
         let mut doc = Json::object([
@@ -230,11 +226,6 @@ impl MetricsSnapshot {
                         self.faults.iter().map(|(k, v)| (k.clone(), Json::u64(*v))).collect(),
                     ),
                 ));
-            }
-        }
-        if self.timeouts > 0 {
-            if let Json::Object(pairs) = &mut doc {
-                pairs.push(("timeouts".into(), Json::u64(self.timeouts)));
             }
         }
         if !self.workers.is_empty() {
@@ -299,7 +290,6 @@ mod tests {
             ram: RamTotals::default(),
             violations: BTreeMap::new(),
             faults: BTreeMap::new(),
-            timeouts: 0,
             workers: BTreeMap::new(),
         };
         let s = snap.to_json_string();
@@ -318,7 +308,6 @@ mod tests {
             ram: RamTotals::default(),
             violations: BTreeMap::new(),
             faults: BTreeMap::new(),
-            timeouts: 0,
             workers: BTreeMap::new(),
         };
         assert!(!snap.to_json_string().contains("faults"));
@@ -326,13 +315,5 @@ mod tests {
         snap.faults.insert("message_dropped".into(), 1);
         let s = snap.to_json_string();
         assert!(s.ends_with(r#""faults":{"crash":2,"message_dropped":1}}"#), "{s}");
-
-        // And timeouts render only when nonzero, after the faults block.
-        snap.timeouts = 3;
-        let s = snap.to_json_string();
-        assert!(s.ends_with(r#""faults":{"crash":2,"message_dropped":1},"timeouts":3}"#), "{s}");
-        snap.faults.clear();
-        let s = snap.to_json_string();
-        assert!(s.ends_with(r#""violations":{},"timeouts":3}"#), "{s}");
     }
 }

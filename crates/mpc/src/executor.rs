@@ -839,32 +839,12 @@ impl Simulation {
     /// `run_*` drained the statistics, so a reused simulation reports
     /// per-call [`RunResult::rounds`].
     pub fn run_until_output(&mut self, max_rounds: usize) -> Result<RunResult, ModelViolation> {
-        self.run_with_watchdog(max_rounds, &mut || false).map(|(result, _)| result)
-    }
-
-    /// Like [`Simulation::run_until_output`], but polls the `expired`
-    /// predicate before every round — the wall-clock watchdog hook. When
-    /// the predicate fires, the run stops short of completion and the
-    /// returned flag is `true`.
-    ///
-    /// Completion is checked *before* expiry: a round that produces output
-    /// returns a completed result and `false` without consulting the
-    /// predicate again, so a trial finishing exactly at its deadline
-    /// counts as a success, never a timeout.
-    pub fn run_with_watchdog(
-        &mut self,
-        max_rounds: usize,
-        expired: &mut dyn FnMut() -> bool,
-    ) -> Result<(RunResult, bool), ModelViolation> {
         for _ in 0..max_rounds {
-            if expired() {
-                return Ok((self.drain(), true));
-            }
             if !self.step()?.is_empty() {
-                return Ok((self.drain(), false));
+                break;
             }
         }
-        Ok((self.drain(), false))
+        Ok(self.drain())
     }
 
     /// Captures the simulation's run state as a durable
@@ -998,11 +978,13 @@ impl Simulation {
     ///   maintains).
     /// * **All** of the shard's sends — self-messages and intra-shard
     ///   traffic included — are extracted as owned [`Message`]s instead
-    ///   of being delivered locally, and round outputs are returned owned
-    ///   instead of accumulating in [`Simulation::outputs`]. The
-    ///   supervisor owns routing and the global transcript; at every
-    ///   round barrier the worker's own image is empty, which keeps its
-    ///   recovery snapshots minimal.
+    ///   of being delivered locally, and the round's outputs and record
+    ///   are returned owned instead of accumulating in
+    ///   [`Simulation::outputs`] and [`Simulation::stats`]. The
+    ///   supervisor owns routing, the global transcript and the round
+    ///   history; at every round barrier the worker's own image and
+    ///   statistics are empty, which keeps its recovery snapshots minimal
+    ///   and the same size every round.
     /// * Fault plans don't participate: sharded execution's fault model
     ///   is real process crashes, so a non-inert plan here is a
     ///   programming error (asserted).
@@ -1023,7 +1005,7 @@ impl Simulation {
         Ok(ShardRoundOutput {
             messages: extract.0,
             outputs: self.outputs.split_off(outputs_before),
-            stats: *self.stats.rounds.last().expect("a completed round records its stats"),
+            stats: self.stats.rounds.pop().expect("a completed round records its stats"),
         })
     }
 
@@ -1750,51 +1732,6 @@ mod tests {
         assert!(wrong_m.restore(&snap).is_err());
         let mut wrong_s = sim(4, 32);
         assert!(wrong_s.restore(&snap).is_err());
-    }
-
-    #[test]
-    fn watchdog_expiry_stops_before_any_round() {
-        let mut s = sim(4, 64);
-        s.set_uniform_logic(relay());
-        s.seed_memory(0, BitVec::zeros(2));
-        let (result, timed_out) = s.run_with_watchdog(100, &mut || true).unwrap();
-        assert!(timed_out);
-        assert!(!result.completed());
-        assert_eq!(result.rounds(), 0, "an already-expired deadline runs no rounds");
-    }
-
-    #[test]
-    fn watchdog_never_fires_on_a_completing_run() {
-        // The predicate goes true only after enough polls for the relay to
-        // finish: completion is checked first, so the run still succeeds —
-        // finishing "exactly at the deadline" is a success, not a timeout.
-        let baseline = relay_run(None, 100);
-        let mut s = sim(4, 64);
-        s.set_uniform_logic(relay());
-        s.seed_memory(0, BitVec::zeros(2));
-        let mut polls = 0usize;
-        let (result, timed_out) = s
-            .run_with_watchdog(100, &mut || {
-                polls += 1;
-                polls > 6 // the relay outputs in its 6th round
-            })
-            .unwrap();
-        assert!(!timed_out);
-        assert!(result.completed());
-        assert_eq!(result.outputs, baseline.outputs);
-        assert_eq!(result.stats, baseline.stats);
-    }
-
-    #[test]
-    fn watchdog_with_inert_predicate_matches_run_until_output() {
-        let baseline = relay_run(None, 100);
-        let mut s = sim(4, 64);
-        s.set_uniform_logic(relay());
-        s.seed_memory(0, BitVec::zeros(2));
-        let (result, timed_out) = s.run_with_watchdog(100, &mut || false).unwrap();
-        assert!(!timed_out);
-        assert_eq!(result.outputs, baseline.outputs);
-        assert_eq!(result.stats, baseline.stats);
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl<'a> RoundCtx<'a> {
     /// Charges `count` queries against the budget, counting them only if
     /// they are actually allowed to reach the oracle — a rejected query is
     /// *not* a query, so `queries_made` always equals the number of oracle
-    /// calls (and agrees with `CountingOracle`).
+    /// calls.
     fn charge(&self, count: u64) -> Result<(), ModelViolation> {
         if let Some(q) = self.q {
             // Relaxed is fine: the counter is private to this (machine,

@@ -58,11 +58,12 @@
 //! shard with [`Simulation::step_shard`] — the in-process executor's one
 //! round body over the shard's machine range, with **all** sends
 //! extracted owned instead of routed locally, so the barrier state is
-//! empty — and replies with three frames: its outbound `ROUND_MSGS`, a
-//! `ROUND_ACK` carrying the shard's round statistics and outputs, and a
-//! `SHARD_SNAPSHOT` of the new barrier. The supervisor folds the shards'
-//! statistics with [`RoundStats::merge`] into the round record the
-//! in-process executor would have kept. A reply is complete only when
+//! empty — and replies with three frames, written with one call: its
+//! outbound `ROUND_MSGS`, a `ROUND_ACK` carrying the shard's round
+//! statistics and outputs, and a `SHARD_SNAPSHOT` of the new barrier.
+//! The supervisor folds the shards' statistics with
+//! [`RoundStats::merge`] into the round record the in-process executor
+//! would have kept. A reply is complete only when
 //! all three arrive; a partial reply from a dying worker is discarded
 //! wholesale on recovery. Both ends tolerate stale frames: the worker
 //! silently drops a batch for a round it has already stepped, and the
@@ -109,13 +110,13 @@ use crate::snapshot::SimulationSnapshot;
 use crate::stats::{decode_round_stats, encode_round_stats, RoundStats, SimStats};
 pub use crate::transport::MAX_FRAME_BYTES;
 use crate::transport::{
-    apply_recv_chaos, read_image, send_image, splitmix64, ChaosSink, ChaosSpec, FrameSink,
-    FrameSource, ReadSource, RecvAction, TcpSink, TransportKind, WriteSink,
+    apply_recv_chaos, prefixed, read_image, send_image, splitmix64, ChaosSink, ChaosSpec,
+    FrameSink, RecvAction, TcpSink, TransportKind, WriteSink,
 };
 use mph_bits::BitVec;
 use mph_metrics::{emit, Event, MetricsSink};
 use mph_oracle::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -450,10 +451,20 @@ fn decode_index(v: u64, what: &str) -> Result<usize, ShardError> {
 /// Writes one length-prefixed frame and flushes (round progress must not
 /// sit in a buffer while the peer waits).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let bytes = frame.to_bytes();
-    debug_assert!(bytes.len() <= MAX_FRAME_BYTES);
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(&bytes)?;
+    write_frames(w, std::slice::from_ref(frame))
+}
+
+/// Writes length-prefixed frames with one write call, then flushes: a
+/// round reply leaves as one unit, so the supervisor's reader wakes once
+/// for it instead of once per frame.
+fn write_frames(w: &mut impl Write, frames: &[Frame]) -> io::Result<()> {
+    let mut image = Vec::new();
+    for frame in frames {
+        let bytes = frame.to_bytes();
+        debug_assert!(bytes.len() <= MAX_FRAME_BYTES);
+        image.extend(prefixed(bytes.len(), &bytes));
+    }
+    w.write_all(&image)?;
     w.flush()
 }
 
@@ -662,15 +673,15 @@ pub fn worker_serve_with(
                     .map(|out| (out, sim.snapshot().to_bytes()));
                 match stepped {
                     Ok((out, barrier)) => {
-                        write_frame(&mut output, &Frame::RoundMsgs { round, msgs: out.messages })?;
-                        write_frame(
+                        let ack = Ack::Round { stats: out.stats, outputs: out.outputs };
+                        write_frames(
                             &mut output,
-                            &Frame::RoundAck {
-                                round,
-                                ack: Ack::Round { stats: out.stats, outputs: out.outputs },
-                            },
+                            &[
+                                Frame::RoundMsgs { round, msgs: out.messages },
+                                Frame::RoundAck { round, ack },
+                                Frame::Snapshot { bytes: barrier },
+                            ],
                         )?;
-                        write_frame(&mut output, &Frame::Snapshot { bytes: barrier })?;
                     }
                     Err(violation) => {
                         write_frame(&mut output, &err_ack(round, violation.to_string()))?;
@@ -943,7 +954,7 @@ impl Supervisor {
                     index,
                     child,
                     Box::new(WriteSink::new(stdin)),
-                    Box::new(ReadSource(stdout)),
+                    Box::new(stdout),
                     counters,
                 ))
             }
@@ -981,7 +992,7 @@ impl Supervisor {
                     index,
                     child,
                     Box::new(TcpSink::new(sink_stream)),
-                    Box::new(ReadSource(stream)),
+                    Box::new(stream),
                     counters,
                 ))
             }
@@ -1046,7 +1057,7 @@ impl Supervisor {
         index: usize,
         child: Child,
         sink: Box<dyn FrameSink>,
-        mut source: Box<dyn FrameSource>,
+        source: Box<dyn Read + Send>,
         counters: (Arc<AtomicU64>, Arc<AtomicU64>),
     ) -> WorkerHandle {
         let (tx, rx): (Sender<Frame>, Receiver<Frame>) = std::sync::mpsc::channel();
@@ -1057,7 +1068,8 @@ impl Supervisor {
             // blocks on the channel. Any read/decode failure ends the
             // thread; the dropped sender surfaces to the supervisor as a
             // disconnect — the crash signal.
-            'read: while let Ok(image) = source.recv_image() {
+            let mut source = BufReader::new(source);
+            'read: while let Ok(image) = read_image(&mut source) {
                 let images = match &chaos {
                     Some(spec) => match apply_recv_chaos(spec, index, &recv_counter, image) {
                         RecvAction::Deliver(images) => images,
@@ -1709,6 +1721,36 @@ mod tests {
     }
 
     #[test]
+    fn each_reply_is_one_write_call() {
+        // The worker's whole round reply (RMSG, RACK, SSNP) goes out in
+        // one write call, and every other reply frame in one call too, so
+        // the supervisor's reader wakes once per reply.
+        struct Calls(Vec<Vec<u8>>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let m = 3;
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::Hello { lo: 0, hi: m, nonce: 0, spec: Vec::new() }).unwrap();
+        write_frame(&mut wire, &Frame::RoundMsgs { round: 0, msgs: Vec::new() }).unwrap();
+        let mut calls = Calls(Vec::new());
+        worker_serve_with(&wire[..], &mut calls, None, |_spec| Ok(relay_sim(m))).unwrap();
+        assert_eq!(calls.0.len(), 2, "one call for the ready ack, one for the round reply");
+        let mut r = &calls.0[1][..];
+        let kinds: Vec<Frame> = (0..3).map(|_| read_frame(&mut r).unwrap()).collect();
+        assert!(matches!(kinds[0], Frame::RoundMsgs { round: 0, .. }));
+        assert!(matches!(kinds[1], Frame::RoundAck { round: 0, ack: Ack::Round { .. } }));
+        assert!(matches!(kinds[2], Frame::Snapshot { .. }));
+        assert!(r.is_empty(), "the call holds exactly the three reply frames");
+    }
+
+    #[test]
     fn worker_echoes_heartbeats_any_time() {
         let m = 3;
         let frames = [
@@ -1803,6 +1845,37 @@ mod tests {
             panic!("expected an error ack, got {frame:?}");
         };
         assert!(message.contains("no such pipeline"), "{message}");
+    }
+
+    #[test]
+    fn barriers_carry_no_round_history() {
+        // A worker hands each round's record back in its RACK; its
+        // barrier snapshot must not also keep every earlier record, or
+        // the barrier grows by one record per round.
+        let m = 3;
+        let mut reference = relay_sim(m);
+        reference.retain_shard(0, m);
+        let mut frames = vec![Frame::Hello { lo: 0, hi: m, nonce: 0, spec: Vec::new() }];
+        let mut batch = Vec::new();
+        for round in 0..4 {
+            frames.push(Frame::RoundMsgs { round, msgs: batch.clone() });
+            reference.inject_messages(&batch).unwrap();
+            batch = reference.step_shard(0, m).unwrap().messages;
+        }
+        let barriers: Vec<Vec<u8>> = drive_worker(&frames, m)
+            .into_iter()
+            .filter_map(|frame| match frame {
+                Frame::Snapshot { bytes } => Some(bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(barriers.len(), 4);
+        for (round, bytes) in barriers.iter().enumerate() {
+            let snap = SimulationSnapshot::from_bytes(bytes).unwrap();
+            assert_eq!(snap.round, round + 1);
+            assert!(snap.stats.rounds.is_empty(), "round {round}'s barrier keeps history");
+            assert_eq!(bytes.len(), barriers[0].len(), "round {round}'s barrier grew");
+        }
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //! The shard protocol ([`crate::shard`]) exchanges length-prefixed
 //! CRC-framed images. This module abstracts *how* those images move:
 //!
-//! * [`FrameSink`] / [`FrameSource`] — the two half-duplex ends of a
-//!   worker link, at the byte level (frame boundaries visible, contents
-//!   opaque). The supervisor owns one pair per worker.
+//! * [`FrameSink`] — the sending half of a worker link, at the byte
+//!   level (frame boundaries visible, contents opaque); the receiving
+//!   half is any reader, drained frame by frame with [`read_image`]. The
+//!   supervisor owns one pair per worker.
 //! * [`TransportKind::Pipe`] — the original inherited `stdin`/`stdout`
 //!   pipe pair of a spawned worker ([`WriteSink`] over `ChildStdin`,
-//!   [`ReadSource`] over `ChildStdout`).
+//!   reading `ChildStdout`).
 //! * [`TransportKind::Tcp`] — a real socket: the supervisor binds a
 //!   listener, workers are spawned with `--connect` and identify
 //!   themselves with a `SHARD_CONNECT` frame carrying the session nonce,
 //!   so a stray or stale connection is dropped at accept time
-//!   ([`TcpSink`] / [`ReadSource`] over the two clones of the stream).
+//!   ([`TcpSink`] over one clone of the stream, reading the other).
 //! * [`ChaosSpec`] — deterministic seeded network-fault injection that
 //!   wraps either transport. Every fault is a **pure function of
 //!   `(seed, worker, direction, frame_index)`** ([`ChaosSpec::fault_at`]),
@@ -70,22 +71,26 @@ pub trait FrameSink: Send {
     fn abort(&mut self);
 }
 
-/// The supervisor-side receiving half of one worker link: yields whole
-/// frame images (length prefix consumed and validated).
-pub trait FrameSource: Send {
-    /// Reads one length-prefixed frame image. EOF before the prefix is
-    /// a clean stream end (`UnexpectedEof` inside [`ShardError::Io`]).
-    fn recv_image(&mut self) -> Result<Vec<u8>, ShardError>;
-}
-
 /// Sends one intact frame image through a sink: prefix equals body.
 pub fn send_image(sink: &mut dyn FrameSink, image: &[u8]) -> io::Result<()> {
     debug_assert!(image.len() <= MAX_FRAME_BYTES);
     sink.send_raw(image.len(), image)
 }
 
+/// `body` behind a `u32` little-endian length prefix of `declared`, as
+/// one buffer, so a frame goes out with one write call (one segment on a
+/// TCP link) and the peer's reader wakes once for it, not once for the
+/// prefix and again for the body.
+pub(crate) fn prefixed(declared: usize, body: &[u8]) -> Vec<u8> {
+    let mut image = Vec::with_capacity(4 + body.len());
+    image.extend_from_slice(&(declared as u32).to_le_bytes());
+    image.extend_from_slice(body);
+    image
+}
+
 /// Reads one length-prefixed frame image from any byte stream — the
-/// shared decode step of every transport.
+/// shared decode step of every transport. EOF before the prefix is a
+/// clean stream end (`UnexpectedEof` inside [`ShardError::Io`]).
 pub fn read_image(r: &mut impl Read) -> Result<Vec<u8>, ShardError> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -118,8 +123,7 @@ impl<W: Write + Send> FrameSink for WriteSink<W> {
             .0
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::BrokenPipe, "sink already aborted"))?;
-        w.write_all(&(declared as u32).to_le_bytes())?;
-        w.write_all(body)?;
+        w.write_all(&prefixed(declared, body))?;
         w.flush()
     }
 
@@ -146,8 +150,7 @@ impl FrameSink for TcpSink {
             .0
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::BrokenPipe, "sink already aborted"))?;
-        s.write_all(&(declared as u32).to_le_bytes())?;
-        s.write_all(body)?;
+        s.write_all(&prefixed(declared, body))?;
         s.flush()
     }
 
@@ -155,15 +158,6 @@ impl FrameSink for TcpSink {
         if let Some(s) = self.0.take() {
             let _ = s.shutdown(Shutdown::Both);
         }
-    }
-}
-
-/// [`FrameSource`] over any reader (`ChildStdout`, a `TcpStream` clone).
-pub struct ReadSource<R: Read + Send>(pub R);
-
-impl<R: Read + Send> FrameSource for ReadSource<R> {
-    fn recv_image(&mut self) -> Result<Vec<u8>, ShardError> {
-        read_image(&mut self.0)
     }
 }
 

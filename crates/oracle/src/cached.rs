@@ -334,7 +334,8 @@ impl<O: Oracle> CachedOracle<O> {
     /// The memo table's entries in a canonical order: shard by shard, each
     /// shard in FIFO insertion order. The order is deterministic (shard
     /// assignment is FNV-based, insertion order is the query order), so
-    /// snapshots of the same cache state are byte-identical.
+    /// two caches in the same state list identical entries — which is how
+    /// the cache proptests observe eviction order.
     pub fn entries(&self) -> Vec<(BitVec, BitVec)> {
         let (kw, aw) = (self.key_words, self.ans_words);
         let mut out = Vec::new();
@@ -349,34 +350,6 @@ impl<O: Oracle> CachedOracle<O> {
             }
         }
         out
-    }
-
-    /// Re-inserts previously captured `entries` (from
-    /// [`CachedOracle::entries`]) through the normal insertion path:
-    /// shard assignment, FIFO order, and capacity eviction all apply, so a
-    /// restored cache behaves exactly like one that answered those queries.
-    /// Entries do not touch the inner oracle and are not counted as hits
-    /// or misses — restoring is bookkeeping, not querying.
-    ///
-    /// An entry whose key is already resident is skipped outright — it
-    /// touches neither the FIFO ring nor the fingerprint table, so
-    /// re-restoring a snapshot can never double-count capacity. Entries
-    /// whose widths do not match this oracle's domain (a snapshot from a
-    /// different configuration) are ignored: they could never be hit by a
-    /// width-checked query, so interning them would only waste capacity.
-    pub fn restore_entries(&self, entries: Vec<(BitVec, BitVec)>) {
-        let (kw, aw, cap) = (self.key_words, self.ans_words, self.capacity_per_shard);
-        for (input, answer) in entries {
-            if input.len() != self.n_in || answer.len() != self.n_out {
-                continue;
-            }
-            let h = fingerprint(input.words(), input.len());
-            let mut shard = self.shards[(h as usize) & (SHARDS - 1)].lock();
-            if shard.lookup(h, input.words(), kw).is_some() {
-                continue;
-            }
-            shard.insert(h, input.words(), answer.words(), kw, aw, cap);
-        }
     }
 
     /// Records and classifies a hit.
@@ -793,82 +766,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = CachedOracle::with_capacity(LazyOracle::square(0, 8), 0);
-    }
-
-    #[test]
-    fn entries_round_trip_through_restore() {
-        let cached = CachedOracle::new(LazyOracle::square(6, 16));
-        for i in 0..30u64 {
-            cached.query(&BitVec::from_u64(i, 16));
-        }
-        let entries = cached.entries();
-        assert_eq!(entries.len(), 30);
-
-        // A fresh cache restored from the captured entries answers every
-        // warmed query as a hit — no inner-oracle traffic, no miss counts.
-        let restored = CachedOracle::new(LazyOracle::square(6, 16));
-        restored.restore_entries(entries.clone());
-        assert_eq!(restored.len(), 30);
-        assert_eq!((restored.hits(), restored.misses()), (0, 0));
-        for i in 0..30u64 {
-            let q = BitVec::from_u64(i, 16);
-            assert_eq!(restored.query(&q), cached.query(&q));
-        }
-        assert_eq!(restored.misses(), 0, "every restored entry is a hit");
-        // And the restored cache's canonical entry order matches.
-        assert_eq!(restored.entries(), entries);
-    }
-
-    #[test]
-    fn restore_respects_capacity_and_skips_duplicates() {
-        let small = CachedOracle::with_capacity(LazyOracle::square(6, 16), 16);
-        let dup = BitVec::from_u64(1, 16);
-        let answer = LazyOracle::square(6, 16).query(&dup);
-        small.restore_entries(vec![(dup.clone(), answer.clone()), (dup.clone(), answer)]);
-        assert_eq!(small.len(), 1, "duplicate restores collapse");
-        let many: Vec<(BitVec, BitVec)> = (0..200u64)
-            .map(|i| {
-                let q = BitVec::from_u64(i, 16);
-                let a = LazyOracle::square(6, 16).query(&q);
-                (q, a)
-            })
-            .collect();
-        small.restore_entries(many);
-        assert!(small.len() <= 16, "restore evicts past capacity like queries do");
-    }
-
-    #[test]
-    fn restore_ignores_mismatched_widths() {
-        // Entries from a differently-shaped snapshot can never be hit by a
-        // width-checked query; they must not consume capacity.
-        let cached = CachedOracle::new(LazyOracle::square(6, 16));
-        cached.restore_entries(vec![
-            (BitVec::zeros(8), BitVec::zeros(16)),  // wrong key width
-            (BitVec::zeros(16), BitVec::zeros(8)),  // wrong answer width
-            (BitVec::zeros(16), BitVec::zeros(16)), // well-formed
-        ]);
-        assert_eq!(cached.len(), 1);
-    }
-
-    #[test]
-    fn repeated_restore_never_double_counts() {
-        // Restoring the same snapshot again — the resume-after-resume path —
-        // must leave length, order, and hit behaviour untouched.
-        let cached = CachedOracle::with_capacity(LazyOracle::square(6, 16), 64);
-        for i in 0..40u64 {
-            cached.query(&BitVec::from_u64(i, 16));
-        }
-        let entries = cached.entries();
-        let restored = CachedOracle::with_capacity(LazyOracle::square(6, 16), 64);
-        for _ in 0..3 {
-            restored.restore_entries(entries.clone());
-            assert_eq!(restored.len(), 40);
-            assert_eq!(restored.entries(), entries);
-        }
-        for i in 0..40u64 {
-            restored.query(&BitVec::from_u64(i, 16));
-        }
-        assert_eq!(restored.misses(), 0, "all entries survived the re-restores");
     }
 
     #[test]

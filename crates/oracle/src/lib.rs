@@ -26,10 +26,10 @@
 //!   answers are fixed per entry, so memoization is observationally
 //!   invisible — it only removes the repeated SHA-256 + ChaCha cost on the
 //!   hot query path.
-//! * [`CountingOracle`] / [`TranscriptOracle`] — instrumentation wrappers:
-//!   query counts, per-epoch budgets (the paper's per-round query bound
-//!   `q`), and full query transcripts (the proofs reason about "the set of
-//!   queries made by machine `i` in round `k`").
+//! * [`TranscriptOracle`] — an instrumentation wrapper recording the full
+//!   query transcript (the proofs reason about "the set of queries made by
+//!   machine `i` in round `k`"). The per-round query budget `q` is charged
+//!   by the MPC executor's `RoundCtx`, not by an oracle wrapper.
 //! * [`sha256`] / [`HashOracle`] — a from-scratch SHA-256 and the concrete
 //!   instantiation `h` of the random-oracle methodology: replacing `RO` by
 //!   a real hash, the step that turns the ideal hard function `f^RO` into
@@ -39,15 +39,15 @@
 //!   [`PatchedOracle`] views so rewirings stay session-local.
 //! * [`RandomTape`] — the shared, read-only, multiple-access random tape
 //!   `𝒯` of Definition 2.1.
-//! * [`snapshot`] — the versioned, checksummed binary codec the
-//!   checkpoint/restart subsystem uses to persist lazily-sampled oracle
-//!   tables and executor state; strict typed decode errors, never a panic.
+//! * [`snapshot`] — the versioned, checksummed binary container the
+//!   checkpoint/restart subsystem and the shard wire frame their state
+//!   in; strict typed decode errors, never a panic. No oracle state is
+//!   persisted: every path rebuilds its oracle from the seed.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cached;
-pub mod counting;
 pub mod hash;
 pub mod hub;
 pub mod lazy;
@@ -60,7 +60,6 @@ pub mod traits;
 pub mod transcript;
 
 pub use cached::CachedOracle;
-pub use counting::{CountingOracle, QueryBudgetExceeded};
 pub use hash::HashOracle;
 pub use hub::OracleHub;
 pub use lazy::LazyOracle;

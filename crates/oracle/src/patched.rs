@@ -53,7 +53,7 @@ impl PatchedOracle {
     /// Attaches a telemetry sink, builder-style. Queries that hit a patched
     /// entry emit [`Event::OracleQuery`] with [`QueryKind::Patched`];
     /// off-patch queries forward to the base oracle *without* an event, so
-    /// an instrumented base (e.g. a [`crate::CountingOracle`] with metrics)
+    /// an instrumented base (e.g. a [`crate::CachedOracle`] with metrics)
     /// classifies them fresh/cached without double counting.
     pub fn with_metrics(mut self, sink: Arc<dyn MetricsSink>) -> Self {
         self.metrics = Some(sink);

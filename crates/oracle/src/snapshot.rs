@@ -26,7 +26,6 @@
 //! bit length followed by their byte image and decoded through
 //! `BitVec::slice`, which guarantees clean trailing bits.
 
-use crate::transcript::QueryRecord;
 use mph_bits::BitVec;
 
 /// File magic: "MPHS" (MPc-Hardness Snapshot).
@@ -370,63 +369,6 @@ impl<'a> SnapshotReader<'a> {
     }
 }
 
-/// Section tag for a cached-oracle memo table.
-pub const SECTION_ORACLE_TABLE: [u8; 4] = *b"ORCL";
-
-/// Section tag for a query transcript.
-pub const SECTION_TRANSCRIPT: [u8; 4] = *b"TRNS";
-
-/// Encodes a lazily-sampled oracle table — the ordered `(query, answer)`
-/// entries of a [`crate::CachedOracle`] — into `w` as an `"ORCL"` section.
-pub fn encode_oracle_table(w: &mut SnapshotWriter, entries: &[(BitVec, BitVec)]) {
-    let patch = w.begin_section(&SECTION_ORACLE_TABLE);
-    w.put_u64(entries.len() as u64);
-    for (input, output) in entries {
-        w.put_bitvec(input);
-        w.put_bitvec(output);
-    }
-    w.end_section(patch);
-}
-
-/// Decodes an `"ORCL"` section written by [`encode_oracle_table`].
-pub fn decode_oracle_table(
-    r: &mut SnapshotReader<'_>,
-) -> Result<Vec<(BitVec, BitVec)>, SnapshotError> {
-    r.begin_section(&SECTION_ORACLE_TABLE)?;
-    let count = r.get_u64()?;
-    let mut entries = Vec::new();
-    for _ in 0..count {
-        let input = r.get_bitvec()?;
-        let output = r.get_bitvec()?;
-        entries.push((input, output));
-    }
-    Ok(entries)
-}
-
-/// Encodes a query transcript into `w` as a `"TRNS"` section.
-pub fn encode_transcript(w: &mut SnapshotWriter, records: &[QueryRecord]) {
-    let patch = w.begin_section(&SECTION_TRANSCRIPT);
-    w.put_u64(records.len() as u64);
-    for rec in records {
-        w.put_bitvec(&rec.input);
-        w.put_bitvec(&rec.output);
-    }
-    w.end_section(patch);
-}
-
-/// Decodes a `"TRNS"` section written by [`encode_transcript`].
-pub fn decode_transcript(r: &mut SnapshotReader<'_>) -> Result<Vec<QueryRecord>, SnapshotError> {
-    r.begin_section(&SECTION_TRANSCRIPT)?;
-    let count = r.get_u64()?;
-    let mut records = Vec::new();
-    for _ in 0..count {
-        let input = r.get_bitvec()?;
-        let output = r.get_bitvec()?;
-        records.push(QueryRecord { input, output });
-    }
-    Ok(records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -562,32 +504,6 @@ mod tests {
         let mut r = SnapshotReader::new(&bytes).unwrap();
         r.get_u8().unwrap();
         assert_eq!(r.get_u64(), Err(SnapshotError::Truncated { needed: 8, available: 0 }));
-    }
-
-    #[test]
-    fn oracle_table_round_trips() {
-        let entries: Vec<(BitVec, BitVec)> =
-            (0..20u64).map(|i| (BitVec::from_u64(i, 16), BitVec::from_u64(i * 31, 16))).collect();
-        let mut w = SnapshotWriter::new();
-        encode_oracle_table(&mut w, &entries);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        assert_eq!(decode_oracle_table(&mut r).unwrap(), entries);
-    }
-
-    #[test]
-    fn transcript_round_trips() {
-        let records: Vec<QueryRecord> = (0..10u64)
-            .map(|i| QueryRecord {
-                input: BitVec::from_u64(i, 12),
-                output: BitVec::from_u64(i ^ 5, 12),
-            })
-            .collect();
-        let mut w = SnapshotWriter::new();
-        encode_transcript(&mut w, &records);
-        let bytes = w.finish();
-        let mut r = SnapshotReader::new(&bytes).unwrap();
-        assert_eq!(decode_transcript(&mut r).unwrap(), records);
     }
 
     #[test]

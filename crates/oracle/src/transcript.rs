@@ -76,13 +76,6 @@ impl TranscriptOracle {
         std::mem::take(&mut *self.records.lock())
     }
 
-    /// Replaces the transcript with previously captured `records` — the
-    /// restore half of a checkpoint round-trip
-    /// ([`Self::transcript`] / [`crate::snapshot::encode_transcript`]).
-    pub fn restore(&self, records: Vec<QueryRecord>) {
-        *self.records.lock() = records;
-    }
-
     /// Whether some recorded query equals `input`.
     pub fn contains_query(&self, input: &BitVec) -> bool {
         self.records.lock().iter().any(|r| &r.input == input)
@@ -169,18 +162,6 @@ mod tests {
         let snap = recorder.snapshot();
         assert_eq!(snap.oracle.fresh, 2);
         assert_eq!(snap.oracle.cached, 1);
-    }
-
-    #[test]
-    fn restore_replaces_the_transcript() {
-        let t = recorded();
-        t.query(&BitVec::zeros(16));
-        let saved = t.transcript();
-        t.query(&BitVec::ones(16));
-        assert_eq!(t.len(), 2);
-        t.restore(saved.clone());
-        assert_eq!(t.transcript(), saved);
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

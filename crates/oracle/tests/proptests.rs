@@ -2,8 +2,7 @@
 
 use mph_bits::{random_bitvec, BitVec};
 use mph_oracle::{
-    CachedOracle, CountingOracle, LazyOracle, Oracle, PatchedOracle, RandomTape, TableOracle,
-    TranscriptOracle,
+    CachedOracle, LazyOracle, Oracle, PatchedOracle, RandomTape, TableOracle, TranscriptOracle,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -157,18 +156,6 @@ proptest! {
         }
     }
 
-    /// Counting oracles never change answers and count exactly.
-    #[test]
-    fn counting_transparent(seed in any::<u64>(), queries in prop::collection::vec(0u64..1024, 1..50)) {
-        let base: Arc<dyn Oracle> = Arc::new(LazyOracle::square(seed, 10));
-        let counted = CountingOracle::new(base.clone());
-        for &q in &queries {
-            let qb = BitVec::from_u64(q, 10);
-            prop_assert_eq!(counted.query(&qb), base.query(&qb));
-        }
-        prop_assert_eq!(counted.total_queries(), queries.len() as u64);
-    }
-
     /// Transcripts record exactly the queries made, in order.
     #[test]
     fn transcript_exact(seed in any::<u64>(), queries in prop::collection::vec(0u64..1024, 0..40)) {
@@ -239,8 +226,8 @@ proptest! {
 
     /// The fingerprint-index cache is byte-identical to the historic
     /// HashMap cache on arbitrary single-query sequences: same answers,
-    /// same hit/miss totals, same eviction order (via the canonical
-    /// `entries()` listing), and the snapshot export/import round-trips.
+    /// same hit/miss totals, and same eviction order (via the canonical
+    /// `entries()` listing).
     #[test]
     fn fingerprint_cache_matches_hashmap_model(
         seed in any::<u64>(),
@@ -257,12 +244,6 @@ proptest! {
         }
         prop_assert_eq!((cached.hits(), cached.misses()), (model.hits, model.misses));
         prop_assert_eq!(cached.entries(), model.entries());
-        // Snapshot round-trip: a restored cache carries the same entries in
-        // the same canonical order, and restoring counts nothing.
-        let restored = CachedOracle::with_capacity(LazyOracle::square(seed, 18), capacity);
-        restored.restore_entries(cached.entries());
-        prop_assert_eq!(restored.entries(), cached.entries());
-        prop_assert_eq!((restored.hits(), restored.misses()), (0, 0));
     }
 
     /// The grouped batch path matches its executable model over multiple

@@ -1,6 +1,6 @@
 //! Property tests for the durable snapshot codec (docs/ROBUSTNESS.md):
-//! arbitrary executor and oracle states encode → decode bit-exactly, and
-//! *any* mutated or truncated byte stream yields a typed
+//! arbitrary executor states and shard wire frames encode → decode
+//! bit-exactly, and *any* mutated or truncated byte stream yields a typed
 //! [`SnapshotError`] — never a panic, and never a silently wrong state.
 //!
 //! States are generated from proptest-drawn seeds through a deterministic
@@ -9,11 +9,7 @@
 use mpc_hardness::mpc::shard::{Ack, Frame, ShardError};
 use mpc_hardness::mpc::{FaultSnapshot, Message, SimulationSnapshot};
 use mpc_hardness::mpc::{FaultSpec, RoundStats, SimStats};
-use mpc_hardness::oracle::snapshot::{
-    decode_oracle_table, decode_transcript, encode_oracle_table, encode_transcript, SnapshotReader,
-    SnapshotWriter,
-};
-use mpc_hardness::oracle::transcript::QueryRecord;
+use mpc_hardness::oracle::snapshot::SnapshotWriter;
 use mpc_hardness::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -82,20 +78,6 @@ fn arb_snapshot(seed: u64) -> SimulationSnapshot {
     }
 }
 
-fn arb_table(seed: u64) -> Vec<(BitVec, BitVec)> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7AB1E);
-    (0..rng.gen_range(0..12usize))
-        .map(|_| (arb_bitvec(&mut rng, 96), arb_bitvec(&mut rng, 96)))
-        .collect()
-}
-
-fn arb_records(seed: u64) -> Vec<QueryRecord> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7EC0);
-    (0..rng.gen_range(0..12usize))
-        .map(|_| QueryRecord { input: arb_bitvec(&mut rng, 96), output: arb_bitvec(&mut rng, 96) })
-        .collect()
-}
-
 fn arb_round_stats(rng: &mut StdRng) -> RoundStats {
     RoundStats {
         round: rng.gen_range(0..500),
@@ -152,18 +134,6 @@ fn arb_frame(seed: u64) -> Frame {
     }
 }
 
-fn encode_table(entries: &[(BitVec, BitVec)]) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    encode_oracle_table(&mut w, entries);
-    w.finish()
-}
-
-fn encode_records(records: &[QueryRecord]) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    encode_transcript(&mut w, records);
-    w.finish()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -173,20 +143,6 @@ proptest! {
         let snap = arb_snapshot(seed);
         let decoded = SimulationSnapshot::from_bytes(&snap.to_bytes()).expect("decodes");
         prop_assert_eq!(decoded, snap);
-    }
-
-    /// Oracle tables and transcripts round-trip bit-exactly.
-    #[test]
-    fn oracle_state_round_trips(seed in any::<u64>()) {
-        let table = arb_table(seed);
-        let table_bytes = encode_table(&table);
-        let mut r = SnapshotReader::new(&table_bytes).expect("frames");
-        prop_assert_eq!(decode_oracle_table(&mut r).expect("decodes"), table);
-
-        let records = arb_records(seed);
-        let record_bytes = encode_records(&records);
-        let mut r = SnapshotReader::new(&record_bytes).expect("frames");
-        prop_assert_eq!(decode_transcript(&mut r).expect("decodes"), records);
     }
 
     /// Flipping any single byte of an executor snapshot is always caught:
@@ -216,30 +172,6 @@ proptest! {
             SimulationSnapshot::from_bytes(&bytes[..len]).is_err(),
             "truncation to {len}/{} went undetected", bytes.len()
         );
-    }
-
-    /// The same corruption guarantees hold for the oracle-state codecs:
-    /// every single-byte flip and every truncation is rejected at the
-    /// frame layer or the field layer.
-    #[test]
-    fn mutated_oracle_state_never_decodes(
-        seed in any::<u64>(),
-        victim in any::<u64>(),
-        flip in 1..=255u8,
-    ) {
-        let bytes = encode_table(&arb_table(seed));
-        let mut bad = bytes.clone();
-        let at = (victim % bytes.len() as u64) as usize;
-        bad[at] ^= flip;
-        let outcome = SnapshotReader::new(&bad)
-            .and_then(|mut r| decode_oracle_table(&mut r));
-        prop_assert!(outcome.is_err(), "flip {flip:#04x} at byte {at} went undetected");
-
-        let bytes = encode_records(&arb_records(seed));
-        let len = (victim % bytes.len() as u64) as usize;
-        let outcome = SnapshotReader::new(&bytes[..len])
-            .and_then(|mut r| decode_transcript(&mut r));
-        prop_assert!(outcome.is_err(), "truncation to {len} went undetected");
     }
 
     /// A decoded-then-reencoded snapshot is the identical byte stream:
